@@ -51,7 +51,7 @@ def accuracy_timeline(
     if window <= 0:
         raise ConfigurationError(f"window must be > 0, got {window}")
     buffer = PrefetchBuffer(buffer_entries)
-    pcs, pages, evicted, _ = miss_trace.as_lists()
+    pcs, pages, evicted = miss_trace.as_lists()
 
     points: list[TimelinePoint] = []
     window_hits = 0

@@ -38,12 +38,21 @@ and ``1.0`` encode differently and round-trip exactly.
 Any structural problem — bad magic, unknown schema, truncation, a
 digest mismatch, or trailing garbage after the blob — raises
 :class:`~repro.errors.CkptError` naming the failing stage.
+
+Both directions are iterative: the encoder keeps a stack of container
+iterators and the decoder a stack of open containers, walking the
+payload with one dispatch per value on its exact type (encoder) or tag
+byte (decoder). Integers in ``[-8192, 8192)`` — most table keys, slot
+distances and page numbers — encode from a precomputed table. Values
+of subclassed types (``IntEnum``, ``OrderedDict``, ...) take a slower
+``isinstance`` path that emits the same bytes as their base type.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
+from itertools import chain
 
 from ..errors import CkptError
 
@@ -55,6 +64,11 @@ _DIGEST_BYTES = 8
 
 _Value = None | bool | int | float | str | bytes | list | dict
 
+_N, _F, _T, _I, _D, _S, _B, _L, _M = b"NFTidsblm"
+
+_pack_double = struct.Struct(">d").pack
+_unpack_double = struct.Struct(">d").unpack_from
+
 
 def _encode_varint(value: int, out: bytearray) -> None:
     while value >= 0x80:
@@ -63,107 +77,239 @@ def _encode_varint(value: int, out: bytearray) -> None:
     out.append(value)
 
 
+def _encode_int(value: int, out: bytearray) -> None:
+    out.append(_I)
+    # Arbitrary-precision zigzag: packed DP-PC keys exceed 64 bits.
+    _encode_varint((value << 1) if value >= 0 else ((-value << 1) - 1), out)
+
+
+def _int_table(limit: int) -> list[bytes]:
+    """Encoded ``i`` values indexed by the int itself, for ``[-limit, limit)``.
+
+    Entries ``0 .. limit-1`` hold the non-negative values and the rest
+    the negative ones in ascending order, so ``table[n]`` is right for
+    every ``n`` in range via Python's negative indexing.
+    """
+    table = []
+    for value in (*range(limit), *range(-limit, 0)):
+        out = bytearray()
+        _encode_int(value, out)
+        table.append(bytes(out))
+    return table
+
+
+_SMALL_LIMIT = 1 << 13
+_SMALL_INTS = _int_table(_SMALL_LIMIT)
+#: ``l`` tag plus one-byte count, for the short lists snapshots are made of.
+_LIST_HEADS = [bytes((_L, count)) for count in range(0x80)]
+
+
 def _encode_value(value: _Value, out: bytearray) -> None:
-    # bool before int: bool is an int subclass.
-    if value is None:
-        out.append(ord("N"))
-    elif value is True:
-        out.append(ord("T"))
-    elif value is False:
-        out.append(ord("F"))
-    elif isinstance(value, int):
-        out.append(ord("i"))
-        # Arbitrary-precision zigzag: packed DP-PC keys exceed 64 bits.
-        zigzag = (value << 1) if value >= 0 else ((-value << 1) - 1)
-        _encode_varint(zigzag, out)
+    """Append ``value``'s encoding to ``out``, depth-first, without recursion."""
+    small_ints = _SMALL_INTS
+    limit = _SMALL_LIMIT
+    list_heads = _LIST_HEADS
+    stack: list = []
+    items = iter((value,))
+    while True:
+        for value in items:
+            cls = type(value)
+            if cls is int:
+                if -limit <= value < limit:
+                    out += small_ints[value]
+                else:
+                    _encode_int(value, out)
+            elif cls is list or cls is tuple:
+                count = len(value)
+                if count < 0x80:
+                    out += list_heads[count]
+                else:
+                    out.append(_L)
+                    _encode_varint(count, out)
+                if count:
+                    stack.append(items)
+                    items = iter(value)
+                    break
+            elif value is None:
+                out.append(_N)
+            elif value is True:
+                out.append(_T)
+            elif value is False:
+                out.append(_F)
+            elif cls is str:
+                raw = value.encode("utf-8")
+                out.append(_S)
+                _encode_varint(len(raw), out)
+                out += raw
+            elif cls is dict:
+                out.append(_M)
+                _encode_varint(len(value), out)
+                if value:
+                    stack.append(items)
+                    items = chain.from_iterable(value.items())
+                    break
+            elif cls is float:
+                out.append(_D)
+                out += _pack_double(value)
+            elif cls is bytes:
+                out.append(_B)
+                _encode_varint(len(value), out)
+                out += value
+            else:
+                _encode_subclassed(value, out)
+        else:
+            if not stack:
+                return
+            items = stack.pop()
+
+
+def _encode_subclassed(value: object, out: bytearray) -> None:
+    """Values whose exact type is not a codec type: encode as the base."""
+    if isinstance(value, int):
+        _encode_int(value, out)
     elif isinstance(value, float):
-        out.append(ord("d"))
-        out += struct.pack(">d", value)
+        out.append(_D)
+        out += _pack_double(value)
     elif isinstance(value, str):
         raw = value.encode("utf-8")
-        out.append(ord("s"))
+        out.append(_S)
         _encode_varint(len(raw), out)
         out += raw
     elif isinstance(value, bytes):
-        out.append(ord("b"))
+        out.append(_B)
         _encode_varint(len(value), out)
         out += value
     elif isinstance(value, (list, tuple)):
-        out.append(ord("l"))
-        _encode_varint(len(value), out)
-        for item in value:
-            _encode_value(item, out)
+        _encode_value(list(value), out)
     elif isinstance(value, dict):
-        out.append(ord("m"))
-        _encode_varint(len(value), out)
-        for key, item in value.items():
-            _encode_value(key, out)
-            _encode_value(item, out)
+        _encode_value(dict(value.items()), out)
     else:
         raise CkptError(f"cannot encode value of type {type(value).__name__}")
 
 
-class _Reader:
-    """Cursor over a blob body; every read checks for truncation."""
+def _truncated(wanted: int, pos: int, size: int) -> CkptError:
+    return CkptError(
+        f"truncated blob: wanted {wanted} bytes at offset {pos}, "
+        f"only {max(0, size - pos)} left"
+    )
 
-    def __init__(self, data: bytes, offset: int = 0) -> None:
-        self.data = data
-        self.offset = offset
 
-    def take(self, count: int) -> bytes:
-        end = self.offset + count
-        if end > len(self.data):
-            raise CkptError(
-                f"truncated blob: wanted {count} bytes at offset "
-                f"{self.offset}, only {len(self.data) - self.offset} left"
-            )
-        chunk = self.data[self.offset : end]
-        self.offset = end
-        return chunk
+def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
+    """Decode the varint at ``data[pos]``; returns ``(value, next_pos)``.
 
-    def varint(self) -> int:
-        result = 0
-        shift = 0
+    Raises :class:`IndexError` when the data ends mid-varint (callers
+    translate it into a truncation :class:`CkptError`).
+    """
+    byte = data[pos]
+    pos += 1
+    if byte < 0x80:
+        return byte, pos
+    result = byte & 0x7F
+    shift = 7
+    while True:
+        byte = data[pos]
+        pos += 1
+        result |= (byte & 0x7F) << shift
+        if byte < 0x80:
+            return result, pos
+        shift += 7
+        if shift > 640:
+            raise CkptError("corrupt blob: varint longer than 640 bits")
+
+
+def _read_chunk(data: bytes, pos: int) -> tuple[bytes, int]:
+    """A varint length and that many bytes: ``(chunk, next_pos)``."""
+    size, pos = _read_varint(data, pos)
+    end = pos + size
+    if end > len(data):
+        raise _truncated(size, pos, len(data))
+    return data[pos:end], end
+
+
+def _close_map(items: list) -> dict:
+    flat = iter(items)
+    try:
+        return dict(zip(flat, flat))
+    except TypeError as error:
+        raise CkptError(f"corrupt blob: unhashable map key: {error}") from error
+
+
+def _decode_value(data: bytes, pos: int) -> tuple[_Value, int]:
+    """Decode one value at ``data[pos]``; returns ``(value, next_pos)``.
+
+    Containers under construction live on an explicit stack as
+    ``(items, remaining, is_map)``; a map collects its keys and values
+    flat and becomes a dict when its last value arrives.
+    """
+    stack: list = []
+    items: list = []
+    append = items.append
+    remaining = 1
+    is_map = False
+    try:
         while True:
-            byte = self.take(1)[0]
-            result |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return result
-            shift += 7
-            if shift > 640:
-                raise CkptError("corrupt blob: varint longer than 640 bits")
-
-    def value(self) -> _Value:
-        tag = self.take(1)
-        if tag == b"N":
-            return None
-        if tag == b"T":
-            return True
-        if tag == b"F":
-            return False
-        if tag == b"i":
-            zigzag = self.varint()
-            return (zigzag >> 1) ^ -(zigzag & 1)
-        if tag == b"d":
-            return struct.unpack(">d", self.take(8))[0]
-        if tag == b"s":
-            raw = self.take(self.varint())
-            try:
-                return raw.decode("utf-8")
-            except UnicodeDecodeError as error:
-                raise CkptError(f"corrupt blob: bad UTF-8 string: {error}") from error
-        if tag == b"b":
-            return self.take(self.varint())
-        if tag == b"l":
-            return [self.value() for _ in range(self.varint())]
-        if tag == b"m":
-            pairs = self.varint()
-            result: dict = {}
-            for _ in range(pairs):
-                key = self.value()
-                result[key] = self.value()
-            return result
-        raise CkptError(f"corrupt blob: unknown value tag {tag!r}")
+            while remaining:
+                tag = data[pos]
+                pos += 1
+                remaining -= 1
+                if tag == _I:
+                    zigzag = data[pos]
+                    if zigzag < 0x80:
+                        pos += 1
+                    elif data[pos + 1] < 0x80:
+                        zigzag = (zigzag & 0x7F) | (data[pos + 1] << 7)
+                        pos += 2
+                    else:
+                        zigzag, pos = _read_varint(data, pos)
+                    append((zigzag >> 1) ^ -(zigzag & 1))
+                elif tag == _L or tag == _M:
+                    count = data[pos]
+                    if count < 0x80:
+                        pos += 1
+                    else:
+                        count, pos = _read_varint(data, pos)
+                    if tag == _M:
+                        count *= 2
+                    if count:
+                        stack.append((items, remaining, is_map))
+                        items = []
+                        append = items.append
+                        remaining = count
+                        is_map = tag == _M
+                    else:
+                        append({} if tag == _M else [])
+                elif tag == _N:
+                    append(None)
+                elif tag == _T:
+                    append(True)
+                elif tag == _F:
+                    append(False)
+                elif tag == _S:
+                    raw, pos = _read_chunk(data, pos)
+                    try:
+                        append(raw.decode("utf-8"))
+                    except UnicodeDecodeError as error:
+                        raise CkptError(
+                            f"corrupt blob: bad UTF-8 string: {error}"
+                        ) from error
+                elif tag == _D:
+                    if pos + 8 > len(data):
+                        raise _truncated(8, pos, len(data))
+                    append(_unpack_double(data, pos)[0])
+                    pos += 8
+                elif tag == _B:
+                    raw, pos = _read_chunk(data, pos)
+                    append(raw)
+                else:
+                    raise CkptError(f"corrupt blob: unknown value tag {bytes((tag,))!r}")
+            if not stack:
+                return items[0], pos
+            value = _close_map(items) if is_map else items
+            items, remaining, is_map = stack.pop()
+            append = items.append
+            append(value)
+    except IndexError:
+        raise _truncated(1, pos, len(data)) from None
 
 
 def encode_blob(kind: str, payload: _Value) -> bytes:
@@ -175,7 +321,7 @@ def encode_blob(kind: str, payload: _Value) -> bytes:
     _encode_value(payload, body)
     _encode_varint(len(body), out)
     out += body
-    out += hashlib.sha256(bytes(out)).digest()[:_DIGEST_BYTES]
+    out += hashlib.sha256(out).digest()[:_DIGEST_BYTES]
     return bytes(out)
 
 
@@ -186,30 +332,32 @@ def decode_blob(blob: bytes, expect_kind: str | None = None) -> tuple[str, _Valu
     digest trailer, and that nothing follows the trailer. Passing
     ``expect_kind`` additionally demands the embedded kind match.
     """
-    reader = _Reader(blob)
-    if reader.take(4) != _MAGIC:
+    blob = bytes(blob)
+    if blob[:4] != _MAGIC:
         raise CkptError("bad magic: not a repro.ckpt blob")
-    schema = reader.value()
+    schema, pos = _decode_value(blob, 4)
     if schema != CKPT_SCHEMA:
         raise CkptError(f"unsupported checkpoint schema {schema!r} (want {CKPT_SCHEMA!r})")
-    kind = reader.value()
+    kind, pos = _decode_value(blob, pos)
     if not isinstance(kind, str):
         raise CkptError("corrupt blob: kind is not a string")
-    body_len = reader.varint()
-    body_start = reader.offset
-    body = reader.take(body_len)
-    digest_start = reader.offset
-    trailer = reader.take(_DIGEST_BYTES)
-    expected = hashlib.sha256(blob[:digest_start]).digest()[:_DIGEST_BYTES]
-    if trailer != expected:
+    try:
+        body_len, body_start = _read_varint(blob, pos)
+    except IndexError:
+        raise _truncated(1, pos, len(blob)) from None
+    digest_start = body_start + body_len
+    end = digest_start + _DIGEST_BYTES
+    if end > len(blob):
+        raise _truncated(end - body_start, body_start, len(blob))
+    expected = hashlib.sha256(memoryview(blob)[:digest_start]).digest()[:_DIGEST_BYTES]
+    if blob[digest_start:end] != expected:
         raise CkptError("corrupt blob: digest mismatch (bytes were altered)")
-    if reader.offset != len(blob):
-        raise CkptError(
-            f"corrupt blob: {len(blob) - reader.offset} trailing bytes after digest"
-        )
-    payload_reader = _Reader(blob, body_start)
-    payload = payload_reader.value()
-    if payload_reader.offset != digest_start:
+    if end != len(blob):
+        raise CkptError(f"corrupt blob: {len(blob) - end} trailing bytes after digest")
+    # Decode from the body alone, so a payload cannot run into the trailer.
+    body = blob[body_start:digest_start]
+    payload, payload_end = _decode_value(body, 0)
+    if payload_end != len(body):
         raise CkptError("corrupt blob: body length does not match payload")
     if expect_kind is not None and kind != expect_kind:
         raise CkptError(f"kind mismatch: blob holds {kind!r}, expected {expect_kind!r}")

@@ -84,7 +84,7 @@ class ReplaySession:
         self.prefetcher = prefetcher
         self.buffer = PrefetchBuffer(buffer_entries)
         self.max_prefetches_per_miss = max_prefetches_per_miss
-        pcs, pages, evicted, _ = miss_trace.as_lists()
+        pcs, pages, evicted = miss_trace.as_lists()
         self._pcs = pcs
         self._pages = pages
         self._evicted = evicted

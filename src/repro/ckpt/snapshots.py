@@ -59,37 +59,34 @@ SNAPSHOT_KINDS: dict[str, type["StateSnapshot"]] = {}
 
 _NESTED_MARKER = "__kind__"
 
-
-def _encode_field(value):
-    if isinstance(value, StateSnapshot):
-        nested = {_NESTED_MARKER: value.kind}
-        nested.update(value.to_payload())
-        return nested
-    if isinstance(value, (list, tuple)):
-        return [_encode_field(item) for item in value]
-    return value
+#: snapshot class -> its dataclass field names, in declaration order.
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
 
 
-def _decode_field(value):
-    if isinstance(value, dict):
-        kind = value.get(_NESTED_MARKER)
-        cls = SNAPSHOT_KINDS.get(kind)
-        if cls is None:
-            raise CkptError(f"corrupt snapshot: unknown nested kind {kind!r}")
-        payload = {k: v for k, v in value.items() if k != _NESTED_MARKER}
-        return cls.from_payload(payload)
-    if isinstance(value, list):
-        return [_decode_field(item) for item in value]
-    return value
+def _field_names(cls: type) -> tuple[str, ...]:
+    names = _FIELD_NAMES.get(cls)
+    if names is None:
+        names = _FIELD_NAMES[cls] = tuple(field.name for field in dataclasses.fields(cls))
+    return names
+
+
+def _decode_nested(value: dict) -> "StateSnapshot":
+    kind = value.get(_NESTED_MARKER)
+    cls = SNAPSHOT_KINDS.get(kind)
+    if cls is None:
+        raise CkptError(f"corrupt snapshot: unknown nested kind {kind!r}")
+    return cls.from_payload({k: v for k, v in value.items() if k != _NESTED_MARKER})
 
 
 class StateSnapshot:
     """Base of all snapshot dataclasses: payload <-> bytes plumbing.
 
     Subclasses are dataclasses declaring a unique ``kind`` string; the
-    payload is the ordered mapping of dataclass fields (nested
-    snapshots encode recursively), which the codec serializes
-    deterministically.
+    payload is the ordered mapping of dataclass fields, which the codec
+    serializes deterministically. A field holding a snapshot encodes as
+    a nested map tagged with its kind; every other field is a plain
+    codec value (lists of ints, ``None``, ...) and is passed through
+    as is — a snapshot nested *inside* a list is not supported.
     """
 
     kind: ClassVar[str] = ""
@@ -103,24 +100,38 @@ class StateSnapshot:
             SNAPSHOT_KINDS[cls.kind] = cls
 
     def to_payload(self) -> dict:
-        """Ordered field-name -> codec-value mapping of this snapshot."""
-        return {
-            field.name: _encode_field(getattr(self, field.name))
-            for field in dataclasses.fields(self)
-        }
+        """Ordered field-name -> codec-value mapping of this snapshot.
+
+        The payload shares its lists with the snapshot; it is meant
+        for the encoder, not for mutation.
+        """
+        payload = {}
+        for name in _field_names(type(self)):
+            value = getattr(self, name)
+            if isinstance(value, StateSnapshot):
+                nested = {_NESTED_MARKER: value.kind}
+                nested.update(value.to_payload())
+                value = nested
+            payload[name] = value
+        return payload
 
     @classmethod
     def from_payload(cls, payload: dict) -> "StateSnapshot":
         """Rebuild a snapshot from :meth:`to_payload` output."""
         if not isinstance(payload, dict):
             raise CkptError(f"corrupt snapshot: {cls.kind!r} payload is not a map")
-        names = [field.name for field in dataclasses.fields(cls)]
-        if list(payload) != names:
+        names = _field_names(cls)
+        if tuple(payload) != names:
             raise CkptError(
                 f"corrupt snapshot: {cls.kind!r} fields {sorted(payload)} "
                 f"do not match schema {sorted(names)}"
             )
-        return cls(**{name: _decode_field(payload[name]) for name in names})
+        return cls(
+            **{
+                name: _decode_nested(value) if type(value) is dict else value
+                for name, value in payload.items()
+            }
+        )
 
     def to_bytes(self) -> bytes:
         """Serialize as a self-describing ``repro.ckpt/v1`` blob."""

@@ -104,7 +104,8 @@ def simulate_cycles(
 
     exposure = timing.stall_exposure
     exposed_penalty = exposure * timing.tlb_miss_penalty
-    pcs, pages, evicted, ref_index = miss_trace.as_lists()
+    pcs, pages, evicted = miss_trace.as_lists()
+    ref_index = miss_trace.ref_index.tolist()
     for i, page in enumerate(pages):
         now = timeline.advance_to_reference(ref_index[i])
 

@@ -91,7 +91,7 @@ def compile_stream(miss_trace: MissTrace) -> tuple[list[int], list[int], list[in
     int lists (memoized on the trace), which index faster in the hot
     loops than numpy scalars.
     """
-    pcs, pages, evicted, _ = miss_trace.as_lists()
+    pcs, pages, evicted = miss_trace.as_lists()
     return pcs, pages, evicted, miss_trace.warmup_misses
 
 

@@ -36,7 +36,7 @@ def replay_oracle(
     if lookahead < 1:
         raise ConfigurationError(f"lookahead must be >= 1, got {lookahead}")
     buffer = PrefetchBuffer(buffer_entries)
-    _, pages, _, _ = miss_trace.as_lists()
+    _, pages, _ = miss_trace.as_lists()
     warmup = miss_trace.warmup_misses
 
     pb_hits_measured = 0

@@ -95,7 +95,7 @@ def replay_prefetcher(
     prefetches.
     """
     buffer = PrefetchBuffer(buffer_entries)
-    pcs, pages, evicted, _ = miss_trace.as_lists()
+    pcs, pages, evicted = miss_trace.as_lists()
     warmup = miss_trace.warmup_misses
 
     # Mechanism counters are cumulative over the instance's lifetime;

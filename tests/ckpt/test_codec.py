@@ -8,11 +8,22 @@ byte, flipped bits, trailing garbage, a lying body length — must raise
 :class:`~repro.errors.CkptError`, never return wrong data.
 """
 
+import enum
+import hashlib
+from collections import OrderedDict
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ckpt.codec import CKPT_SCHEMA, blob_digest, decode_blob, encode_blob
+from repro.ckpt.codec import (
+    CKPT_SCHEMA,
+    _encode_value,
+    _encode_varint,
+    blob_digest,
+    decode_blob,
+    encode_blob,
+)
 from repro.errors import CkptError, ReproError
 
 #: Any value the snapshot layer may feed the codec.
@@ -62,6 +73,34 @@ class TestRoundTrip:
     def test_ckpt_error_is_a_repro_error(self):
         assert issubclass(CkptError, ReproError)
 
+    def test_subclassed_values_encode_as_their_base(self):
+        class Level(enum.IntEnum):
+            HIGH = 300
+
+        class Name(str):
+            pass
+
+        class Row(list):
+            pass
+
+        subclassed = OrderedDict(
+            [(Name("k"), Row([Level.HIGH, 1.5])), ("m", OrderedDict(a=b"x"))]
+        )
+        plain = {"k": [300, 1.5], "m": {"a": b"x"}}
+        assert encode_blob("k", subclassed) == encode_blob("k", plain)
+
+    def test_deep_nesting_does_not_recurse(self):
+        payload: list = []
+        for _ in range(5000):
+            payload = [payload]
+        blob = encode_blob("k", payload)
+        _, decoded = decode_blob(blob)
+        depth = 0
+        while decoded:
+            (decoded,) = decoded
+            depth += 1
+        assert depth == 5000
+
 
 class TestCorruption:
     def _blob(self):
@@ -110,6 +149,42 @@ class TestCorruption:
     def test_empty_blob(self):
         with pytest.raises(CkptError):
             decode_blob(b"")
+
+
+def _framed(body: bytes) -> bytes:
+    """A blob with valid framing and digest around an arbitrary body."""
+    out = bytearray(b"RCKP")
+    _encode_value(CKPT_SCHEMA, out)
+    _encode_value("k", out)
+    _encode_varint(len(body), out)
+    out += body
+    out += hashlib.sha256(out).digest()[:8]
+    return bytes(out)
+
+
+class TestForgedBodies:
+    """Bodies with an intact digest but malformed values still fail loudly."""
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            b"l\x05i\x02",  # list promises 5 items, holds 1
+            b"s\x05ab",  # string shorter than its length
+            b"d\x00\x00",  # double cut short
+            b"i" + b"\x80" * 100,  # varint past 640 bits
+            b"i\x80",  # varint cut short
+            b"z",  # unknown tag
+            b"m\x01l\x00i\x02",  # unhashable map key
+            b"s\x01\xff",  # invalid UTF-8
+            b"i\x02i\x04",  # a second value after the payload
+        ],
+    )
+    def test_malformed_body_raises_ckpt_error(self, body):
+        with pytest.raises(CkptError):
+            decode_blob(_framed(body))
+
+    def test_framing_helper_round_trips(self):
+        assert decode_blob(_framed(b"l\x02i\x02N")) == ("k", [1, None])
 
 
 class TestDigest:

@@ -130,42 +130,43 @@ def _raw_payload():
     }
 
 
-def _cases() -> dict[str, tuple[str, object]]:
-    """label -> (kind, payload) of every golden blob."""
-    cases: dict[str, tuple[str, object]] = {}
+def _cases() -> dict[str, StateSnapshot | tuple[str, object]]:
+    """label -> snapshot, or ``(kind, payload)`` for a raw blob."""
+    cases: dict[str, StateSnapshot | tuple[str, object]] = {}
     for label, name, params in _MECHANISMS:
-        snap = snapshot_prefetcher(_trained(name, params))
-        cases[f"mech.{label}"] = (snap.kind, snap.to_payload())
-    table = snapshot_table(_trained("DP", {"rows": 32, "slots": 2}).table, lambda r: r.values())
-    cases["table.dp"] = (table.kind, table.to_payload())
+        cases[f"mech.{label}"] = snapshot_prefetcher(_trained(name, params))
+    cases["table.dp"] = snapshot_table(
+        _trained("DP", {"rows": 32, "slots": 2}).table, lambda row: row.values()
+    )
     for label, entries, ways in (("fa", 32, 0), ("4way", 64, 4)):
         tlb = TLB(entries=entries, ways=ways)
         for _, page, _ in _MISSES:
             tlb.access(page)
-        snap = snapshot_tlb(tlb)
-        cases[f"tlb.{label}"] = (snap.kind, snap.to_payload())
+        cases[f"tlb.{label}"] = snapshot_tlb(tlb)
     buffer = PrefetchBuffer(16)
     for index, (_, page, _) in enumerate(_MISSES):
         if index % 3:
             buffer.insert(page + 1)
         else:
             buffer.lookup_remove(page)
-    snap = snapshot_buffer(buffer)
-    cases["buffer"] = (snap.kind, snap.to_payload())
-    for label, name, params, stop in (
-        ("session.dp", "DP", {"rows": 32}, 700),
-        ("session.rp", "RP", {}, 1100),
-        ("session.mp_done", "MP", {"rows": 32}, None),
-    ):
-        snap = _session(name, params, stop)
-        cases[label] = (snap.kind, snap.to_payload())
+    cases["buffer"] = snapshot_buffer(buffer)
+    cases["session.dp"] = _session("DP", {"rows": 32}, 700)
+    cases["session.rp"] = _session("RP", {}, 1100)
+    cases["session.mp_done"] = _session("MP", {"rows": 32}, None)
     cases["raw.values"] = ("fuzz", _raw_payload())
     cases["raw.empty"] = ("k", None)
     return cases
 
 
-def _record(kind: str, payload) -> dict:
-    blob = encode_blob(kind, payload)
+def _blob(case) -> bytes:
+    if isinstance(case, StateSnapshot):
+        return case.to_bytes()
+    return encode_blob(*case)
+
+
+def _record(case) -> dict:
+    blob = _blob(case)
+    kind = decode_blob(blob)[0]
     return {"kind": kind, "bytes": len(blob), "digest": blob_digest(blob)}
 
 
@@ -183,35 +184,34 @@ def test_golden_file_matches_case_set():
 
 
 def test_every_snapshot_kind_is_covered():
-    kinds = {kind for kind, _ in CASES.values()}
+    kinds = {_record(case)["kind"] for case in CASES.values()}
     assert set(SNAPSHOT_KINDS) <= kinds
 
 
 def test_dp_pc_keys_exceed_64_bits():
-    _, payload = CASES["mech.dp_pc"]
-    keys = [key for table_set in payload["table"]["sets"] for key, _ in table_set]
-    assert max(keys) >= 2**64
+    table = CASES["mech.dp_pc"].table
+    assert max(key for table_set in table.sets for key, _ in table_set) >= 2**64
 
 
 @pytest.mark.parametrize("label", sorted(CASES))
 def test_blob_bytes_match_golden(label):
-    kind, payload = CASES[label]
-    assert _record(kind, payload) == _load_golden()["blobs"][label]
+    assert _record(CASES[label]) == _load_golden()["blobs"][label]
 
 
 @pytest.mark.parametrize("label", sorted(CASES))
 def test_golden_blob_decodes_and_reencodes_identically(label):
-    kind, payload = CASES[label]
-    blob = encode_blob(kind, payload)
-    decoded_kind, decoded = decode_blob(blob)
-    assert decoded_kind == kind
-    assert encode_blob(decoded_kind, decoded) == blob
-    if kind in SNAPSHOT_KINDS:
-        assert StateSnapshot.from_bytes(blob).to_bytes() == blob
+    case = CASES[label]
+    blob = _blob(case)
+    kind, payload = decode_blob(blob)
+    assert encode_blob(kind, payload) == blob
+    if isinstance(case, StateSnapshot):
+        restored = StateSnapshot.from_bytes(blob)
+        assert restored == case
+        assert restored.to_bytes() == blob
 
 
 def _regen() -> None:
-    blobs = {label: _record(kind, payload) for label, (kind, payload) in sorted(CASES.items())}
+    blobs = {label: _record(case) for label, case in sorted(CASES.items())}
     GOLDEN_FILE.write_text(
         json.dumps({"schema": CKPT_SCHEMA, "blobs": blobs}, indent=2, sort_keys=True) + "\n"
     )
