@@ -44,8 +44,8 @@ iterators and the decoder a stack of open containers, walking the
 payload with one dispatch per value on its exact type (encoder) or tag
 byte (decoder). Integers in ``[-8192, 8192)`` — most table keys, slot
 distances and page numbers — encode from a precomputed table. Values
-of subclassed types (``IntEnum``, ``OrderedDict``, ...) take a slower
-``isinstance`` path that emits the same bytes as their base type.
+of subclassed types (``IntEnum``, ``OrderedDict``, ...) are converted
+to their base type first and emit the same bytes.
 """
 
 from __future__ import annotations
@@ -65,6 +65,9 @@ _DIGEST_BYTES = 8
 _Value = None | bool | int | float | str | bytes | list | dict
 
 _N, _F, _T, _I, _D, _S, _B, _L, _M = b"NFTidsblm"
+
+#: Value types the encoder knows; bool is matched before int by identity.
+_BASE_TYPES = (int, float, str, bytes, list, tuple, dict)
 
 _pack_double = struct.Struct(">d").pack
 _unpack_double = struct.Struct(">d").unpack_from
@@ -156,35 +159,17 @@ def _encode_value(value: _Value, out: bytearray) -> None:
                 _encode_varint(len(value), out)
                 out += value
             else:
-                _encode_subclassed(value, out)
+                # A subclass (IntEnum, OrderedDict, ...) encodes as its base.
+                base = next((b for b in _BASE_TYPES if isinstance(value, b)), None)
+                if base is None:
+                    raise CkptError(f"cannot encode value of type {cls.__name__}")
+                stack.append(items)
+                items = iter((base(value),))
+                break
         else:
             if not stack:
                 return
             items = stack.pop()
-
-
-def _encode_subclassed(value: object, out: bytearray) -> None:
-    """Values whose exact type is not a codec type: encode as the base."""
-    if isinstance(value, int):
-        _encode_int(value, out)
-    elif isinstance(value, float):
-        out.append(_D)
-        out += _pack_double(value)
-    elif isinstance(value, str):
-        raw = value.encode("utf-8")
-        out.append(_S)
-        _encode_varint(len(raw), out)
-        out += raw
-    elif isinstance(value, bytes):
-        out.append(_B)
-        _encode_varint(len(value), out)
-        out += value
-    elif isinstance(value, (list, tuple)):
-        _encode_value(list(value), out)
-    elif isinstance(value, dict):
-        _encode_value(dict(value.items()), out)
-    else:
-        raise CkptError(f"cannot encode value of type {type(value).__name__}")
 
 
 def _truncated(wanted: int, pos: int, size: int) -> CkptError:
