@@ -50,6 +50,7 @@ to their base type first and emit the same bytes.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import struct
 from itertools import chain
@@ -86,30 +87,34 @@ def _encode_int(value: int, out: bytearray) -> None:
     _encode_varint((value << 1) if value >= 0 else ((-value << 1) - 1), out)
 
 
-def _int_table(limit: int) -> list[bytes]:
-    """Encoded ``i`` values indexed by the int itself, for ``[-limit, limit)``.
-
-    Entries ``0 .. limit-1`` hold the non-negative values and the rest
-    the negative ones in ascending order, so ``table[n]`` is right for
-    every ``n`` in range via Python's negative indexing.
-    """
-    table = []
-    for value in (*range(limit), *range(-limit, 0)):
-        out = bytearray()
-        _encode_int(value, out)
-        table.append(bytes(out))
-    return table
-
-
 _SMALL_LIMIT = 1 << 13
-_SMALL_INTS = _int_table(_SMALL_LIMIT)
 #: ``l`` tag plus one-byte count, for the short lists snapshots are made of.
 _LIST_HEADS = [bytes((_L, count)) for count in range(0x80)]
 
 
+@functools.cache
+def _small_ints() -> list[bytes]:
+    """Encoded ``i`` values indexed by the int itself, for ``[-8192, 8192)``.
+
+    Entries ``0 .. 8191`` hold the non-negative values and the rest the
+    negative ones in ascending order, so ``table[n]`` is right for every
+    ``n`` in range via Python's negative indexing. Every zigzag value
+    here fits a two-byte varint. Built on first use, so processes that
+    never checkpoint do not pay for it at import.
+    """
+    table = []
+    for value in (*range(_SMALL_LIMIT), *range(-_SMALL_LIMIT, 0)):
+        zigzag = (value << 1) if value >= 0 else ((-value << 1) - 1)
+        if zigzag < 0x80:
+            table.append(bytes((_I, zigzag)))
+        else:
+            table.append(bytes((_I, (zigzag & 0x7F) | 0x80, zigzag >> 7)))
+    return table
+
+
 def _encode_value(value: _Value, out: bytearray) -> None:
     """Append ``value``'s encoding to ``out``, depth-first, without recursion."""
-    small_ints = _SMALL_INTS
+    small_ints = _small_ints()
     limit = _SMALL_LIMIT
     list_heads = _LIST_HEADS
     stack: list = []
@@ -317,9 +322,9 @@ def decode_blob(blob: bytes, expect_kind: str | None = None) -> tuple[str, _Valu
     digest trailer, and that nothing follows the trailer. Passing
     ``expect_kind`` additionally demands the embedded kind match.
     """
-    blob = bytes(blob)
     if blob[:4] != _MAGIC:
         raise CkptError("bad magic: not a repro.ckpt blob")
+    blob = bytes(blob)
     schema, pos = _decode_value(blob, 4)
     if schema != CKPT_SCHEMA:
         raise CkptError(f"unsupported checkpoint schema {schema!r} (want {CKPT_SCHEMA!r})")
