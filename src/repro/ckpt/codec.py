@@ -67,7 +67,8 @@ _Value = None | bool | int | float | str | bytes | list | dict
 
 _N, _F, _T, _I, _D, _S, _B, _L, _M = b"NFTidsblm"
 
-#: Value types the encoder knows; bool is matched before int by identity.
+#: Base types a subclassed value is converted to (bools never get there:
+#: the encoder matches True and False by identity first).
 _BASE_TYPES = (int, float, str, bytes, list, tuple, dict)
 
 _pack_double = struct.Struct(">d").pack
@@ -190,12 +191,8 @@ def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
     Raises :class:`IndexError` when the data ends mid-varint (callers
     translate it into a truncation :class:`CkptError`).
     """
-    byte = data[pos]
-    pos += 1
-    if byte < 0x80:
-        return byte, pos
-    result = byte & 0x7F
-    shift = 7
+    result = 0
+    shift = 0
     while True:
         byte = data[pos]
         pos += 1

@@ -32,6 +32,7 @@ silently truncating state.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import ClassVar
@@ -59,15 +60,11 @@ SNAPSHOT_KINDS: dict[str, type["StateSnapshot"]] = {}
 
 _NESTED_MARKER = "__kind__"
 
-#: snapshot class -> its dataclass field names, in declaration order.
-_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
 
-
+@functools.cache
 def _field_names(cls: type) -> tuple[str, ...]:
-    names = _FIELD_NAMES.get(cls)
-    if names is None:
-        names = _FIELD_NAMES[cls] = tuple(field.name for field in dataclasses.fields(cls))
-    return names
+    """A snapshot class's dataclass field names, in declaration order."""
+    return tuple(field.name for field in dataclasses.fields(cls))
 
 
 def _decode_nested(value: dict) -> "StateSnapshot":

@@ -201,18 +201,13 @@ class MissTrace:
 
         ``ref_index`` is left out: only the cycle model reads it, and it
         converts the array itself rather than pinning a fourth list.
-        Equal values share one int object across the three lists: a
-        miss stream revisits a few thousand pages and PCs, so the lists
-        hold pointers, not ~32 bytes of int per entry.
         """
         if not self._lists:
-            interned: dict[int, int] = {}
-            share = interned.setdefault
-            lists = []
-            for array in (self.pcs, self.pages, self.evicted):
-                values = array.tolist()
-                lists.append(list(map(share, values, values)))
-            self._lists["value"] = tuple(lists)
+            self._lists["value"] = (
+                self.pcs.tolist(),
+                self.pages.tolist(),
+                self.evicted.tolist(),
+            )
         return self._lists["value"]
 
     def __len__(self) -> int:
