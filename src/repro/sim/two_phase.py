@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.mem.trace import NO_EVICTION, MissTrace, ReferenceTrace
+from repro.mem.trace import MissTrace, ReferenceTrace
 from repro.prefetch.base import Prefetcher
 from repro.sim.config import SimulationConfig, TLBConfig
 from repro.sim.stats import PrefetchRunStats
@@ -48,33 +48,21 @@ def filter_tlb(
     """
     tlb_config = tlb_config or TLBConfig()
     tlb = tlb_config.build()
-
-    miss_pcs: list[int] = []
-    miss_pages: list[int] = []
-    miss_evicted: list[int] = []
-    miss_ref_index: list[int] = []
-
-    references_seen = 0
-    pcs, pages, counts = trace.as_lists()
-    # Local bindings keep the hot loop free of attribute lookups.
-    probe = tlb.probe
-    fill = tlb.fill
-    for pc, page, count in zip(pcs, pages, counts):
-        if not probe(page):
-            evicted = fill(page)
-            miss_pcs.append(pc)
-            miss_pages.append(page)
-            miss_evicted.append(NO_EVICTION if evicted is None else evicted)
-            miss_ref_index.append(references_seen)
-        references_seen += count
+    # One probe per RLE run: the run's tail re-touches a page the head
+    # just made MRU, so it always hits.
+    miss_positions, evicted = tlb.filter(trace.pages.tolist())
+    at = np.asarray(miss_positions, dtype=np.int64)
+    counts = trace.counts
+    run_starts = np.cumsum(counts) - counts
+    ref_index = run_starts[at]
 
     warmup_limit = int(trace.total_references * warmup_fraction)
-    warmup_misses = int(np.searchsorted(np.asarray(miss_ref_index), warmup_limit))
+    warmup_misses = int(np.searchsorted(ref_index, warmup_limit))
     return MissTrace(
-        pcs=np.asarray(miss_pcs, dtype=np.int64),
-        pages=np.asarray(miss_pages, dtype=np.int64),
-        evicted=np.asarray(miss_evicted, dtype=np.int64),
-        ref_index=np.asarray(miss_ref_index, dtype=np.int64),
+        pcs=trace.pcs[at],
+        pages=trace.pages[at],
+        evicted=np.asarray(evicted, dtype=np.int64),
+        ref_index=ref_index,
         total_references=trace.total_references,
         warmup_misses=warmup_misses,
         name=trace.name,

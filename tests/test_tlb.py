@@ -89,6 +89,25 @@ class TestLRUSemantics:
         assert tlb.miss_rate == pytest.approx(0.5)
 
 
+class TestBulkFilter:
+    def test_reports_miss_positions_and_evictions(self):
+        tlb = TLB(entries=2)
+        assert tlb.filter([1, 2, 1, 3, 3]) == ([0, 1, 3], [-1, -1, 2])
+        assert (tlb.hits, tlb.misses) == (2, 3)
+        assert tlb.resident_pages() == [1, 3]
+
+    def test_accumulates_counters_across_calls(self):
+        tlb = TLB(entries=4, ways=2)
+        tlb.filter([0, 2])
+        assert tlb.filter([0, 4]) == ([1], [2])
+        assert (tlb.hits, tlb.misses) == (1, 3)
+
+    def test_empty_input(self):
+        tlb = TLB(entries=4)
+        assert tlb.filter([]) == ([], [])
+        assert (tlb.hits, tlb.misses) == (0, 0)
+
+
 class _ReferenceLRU:
     """Oracle: fully-associative LRU as an explicit recency list."""
 

@@ -12,6 +12,8 @@ Two properties anchor the whole evaluation methodology:
    full online pipeline.
 """
 
+from itertools import accumulate
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,6 +70,93 @@ def small_traces(draw):
         st.lists(st.integers(min_value=1, max_value=4), min_size=n, max_size=n)
     )
     return ReferenceTrace(pcs, pages, counts, name="hyp")
+
+
+#: Fully associative, 2-way, 4-way and direct-mapped, small enough
+#: that ``small_traces`` pages conflict and evict.
+PHASE1_SHAPES = [
+    TLBConfig(entries=8),
+    TLBConfig(entries=8, ways=2),
+    TLBConfig(entries=8, ways=4),
+    TLBConfig(entries=8, ways=1),
+]
+
+
+def _probe_fill(tlb, pages):
+    """Per-page ``probe``/``fill``: the oracle for ``TLB.filter``."""
+    miss_positions, evicted = [], []
+    for position, page in enumerate(pages):
+        if not tlb.probe(page):
+            victim = tlb.fill(page)
+            miss_positions.append(position)
+            evicted.append(NO_EVICTION if victim is None else victim)
+    return miss_positions, evicted
+
+
+@settings(max_examples=80, deadline=None)
+@given(trace=small_traces(), shape=st.sampled_from(PHASE1_SHAPES))
+def test_bulk_filter_equals_probe_fill(trace, shape):
+    """``TLB.filter`` is exactly per-page probe-then-fill: same misses,
+    same evicted pages, same final LRU order, same counters."""
+    pages = trace.pages.tolist()
+    bulk, oracle = shape.build(), shape.build()
+    assert bulk.filter(pages) == _probe_fill(oracle, pages)
+    assert bulk.resident_pages() == oracle.resident_pages()
+    assert (bulk.hits, bulk.misses) == (oracle.hits, oracle.misses)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    trace=small_traces(),
+    shape=st.sampled_from(PHASE1_SHAPES),
+    warmup_fraction=st.sampled_from([0.0, 0.3, 1.0]),
+)
+def test_filter_tlb_miss_stream_equals_probe_fill(trace, shape, warmup_fraction):
+    """The whole miss stream — PCs, pages, evicted pages, reference
+    positions, warm-up count — matches one probe/fill per RLE run."""
+    miss_positions, evicted = _probe_fill(shape.build(), trace.pages.tolist())
+    run_starts = list(accumulate(trace.counts.tolist(), initial=0))
+    ref_index = [run_starts[i] for i in miss_positions]
+    limit = int(trace.total_references * warmup_fraction)
+
+    miss_trace = filter_tlb(trace, shape, warmup_fraction)
+    assert miss_trace.pcs.tolist() == [trace.pcs.tolist()[i] for i in miss_positions]
+    assert miss_trace.pages.tolist() == [trace.pages.tolist()[i] for i in miss_positions]
+    assert miss_trace.evicted.tolist() == evicted
+    assert miss_trace.ref_index.tolist() == ref_index
+    assert miss_trace.warmup_misses == sum(1 for ref in ref_index if ref < limit)
+    for array in (miss_trace.pcs, miss_trace.pages, miss_trace.evicted, miss_trace.ref_index):
+        assert array.dtype == np.int64
+
+
+class TestFilterTLBEdges:
+    def test_empty_trace(self):
+        miss_trace = filter_tlb(ReferenceTrace([], [], [], name="empty"), warmup_fraction=0.5)
+        assert miss_trace.num_misses == 0
+        assert miss_trace.total_references == 0
+        assert miss_trace.warmup_misses == 0
+        for array in (miss_trace.pcs, miss_trace.pages, miss_trace.evicted, miss_trace.ref_index):
+            assert array.dtype == np.int64
+            assert array.shape == (0,)
+
+    def test_one_run_trace(self):
+        trace = make_trace([5], pcs=[0x40], counts=[7])
+        miss_trace = filter_tlb(trace, TLBConfig(entries=4))
+        assert miss_trace.pcs.tolist() == [0x40]
+        assert miss_trace.pages.tolist() == [5]
+        assert miss_trace.evicted.tolist() == [NO_EVICTION]
+        assert miss_trace.ref_index.tolist() == [0]
+        assert miss_trace.total_references == 7
+
+    def test_warmup_boundary_on_a_miss_is_measured(self):
+        # Misses at refs 0, 10, 20, 30. A limit of exactly 20 leaves the
+        # miss at ref 20 measured; one reference later it is warm-up.
+        trace = make_trace([1, 2, 3, 4], counts=[10, 10, 10, 10])
+        on_boundary = filter_tlb(trace, TLBConfig(entries=8), warmup_fraction=0.5)
+        assert on_boundary.ref_index.tolist() == [0, 10, 20, 30]
+        assert on_boundary.warmup_misses == 2
+        past_boundary = filter_tlb(trace, TLBConfig(entries=8), warmup_fraction=0.525)
+        assert past_boundary.warmup_misses == 3
 
 
 @settings(max_examples=40, deadline=None)
