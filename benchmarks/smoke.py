@@ -3,14 +3,14 @@
 
 Times a representative batch (a handful of workloads x the full
 Figure 7 mechanism legend) through the unified :class:`repro.Runner`
-on *all three* replay engines — the authoritative reference engine,
-the vectorized per-spec fast path (:mod:`repro.sim.fastpath`), and
-the one-pass multi-mechanism batch engine (:mod:`repro.sim.batchpath`)
-— verifies their rows are bit-identical, and emits a machine-readable
-JSON record with the wall-clock speedups (``specs_per_second``,
-``batch_specs_per_second``, ``batch_identical``). CI tracks this
-record (``BENCH_smoke.json``) to watch the execution path's
-performance trajectory over time.
+on both replay engines — the authoritative reference engine and the
+compiled engine (:mod:`repro.sim.batchpath`), which replays each
+stream's specs in one pass — once under the ``--engine`` name and once
+as ``engine="batch"``, verifies the rows are bit-identical, and emits
+a machine-readable JSON record with the wall-clock speedups
+(``specs_per_second``, ``batch_specs_per_second``,
+``batch_identical``). CI tracks this record (``BENCH_smoke.json``) to
+watch the execution path's performance trajectory over time.
 
 Run:  PYTHONPATH=src python benchmarks/smoke.py --out BENCH_smoke.json
 """
@@ -508,7 +508,6 @@ def main(argv: list[str] | None = None) -> int:
     engines_identical = results.to_json() == reference.to_json()
     batch_identical = batch_results.to_json() == reference.to_json()
     speedup = reference_elapsed / elapsed if elapsed else 0.0
-    batch_speedup = elapsed / batch_elapsed if batch_elapsed else 0.0
 
     # The parallel run is a Runner check, not an engine comparison: it
     # filters inside the worker processes, so its wall-clock includes
@@ -636,7 +635,6 @@ def main(argv: list[str] | None = None) -> int:
         "parallel_identical": parallel_identical,
         "specs_per_second": round(len(specs) / elapsed, 2) if elapsed else 0.0,
         "batch_elapsed_seconds": round(batch_elapsed, 4),
-        "batch_speedup_vs_fast": round(batch_speedup, 2),
         "batch_identical": batch_identical,
         "batch_specs_per_second": round(len(specs) / batch_elapsed, 2)
         if batch_elapsed
@@ -692,8 +690,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     print(
         f"[smoke] batch: {batch_elapsed:.2f}s "
-        f"({record['batch_specs_per_second']} specs/s, "
-        f"{batch_speedup:.2f}x vs per-spec {args.engine}) "
+        f"({record['batch_specs_per_second']} specs/s) "
         f"bit-identical={batch_identical}"
     )
     print(
@@ -742,7 +739,7 @@ def main(argv: list[str] | None = None) -> int:
             f"bit-identical={distributed['distributed_identical']}"
         )
     if not engines_identical:
-        print("[smoke] ERROR: engines diverged — fast path is not bit-identical")
+        print("[smoke] ERROR: engines diverged — compiled engine is not bit-identical")
         return 1
     if not batch_identical:
         print("[smoke] ERROR: batch engine diverged — one-pass replay is not bit-identical")

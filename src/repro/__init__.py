@@ -70,7 +70,6 @@ from repro.run import MechanismSpec, MissStreamCache, ResultSet, Runner, RunSpec
 from repro.sim.config import SimulationConfig, TLBConfig
 from repro.sim.cycle import CycleSimConfig, CycleStats, normalized_cycles, simulate_cycles
 from repro.sim.engine import ENGINES, resolve_engine
-from repro.sim.fastpath import replay_fast
 from repro.sim.functional import simulate
 from repro.sim.stats import PrefetchRunStats
 from repro.sched import DistributedExecutor, JobQueue, SchedulerClient, Worker
@@ -148,7 +147,6 @@ __all__ = [
     "load_miss_trace",
     "load_reference_trace",
     "normalized_cycles",
-    "replay_fast",
     "replay_prefetcher",
     "resolve_engine",
     "save_miss_trace",

@@ -20,11 +20,12 @@ that state from process memory:
   resume bookmarks for :class:`~repro.run.runner.Runner` continuations
   and service streaming sessions.
 
-The same canonical snapshots also let the fast replay engine
-(:mod:`repro.sim.fastpath`) accept *warm-started* instances: it seeds
-its flat-array tables from a snapshot and writes the final state back,
-so ``engine="auto"`` no longer falls back to the reference engine for
-trained mechanisms.
+The same canonical snapshots let the compiled replay engine
+(:mod:`repro.sim.batchpath`) accept *warm-started* instances and
+resume sessions: a live slot seeds its tables from a snapshot, keeps
+them live across chunks, and writes the final state back, so
+``engine="auto"`` never falls back to the reference engine for trained
+mechanisms.
 """
 
 from repro.ckpt.codec import CKPT_SCHEMA, blob_digest, decode_blob, encode_blob

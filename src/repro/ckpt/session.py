@@ -1,21 +1,24 @@
-"""Incremental phase-2 replay: the same loop, pausable anywhere.
+"""Incremental phase-2 replay: one stream, pausable anywhere.
 
-:class:`ReplaySession` is :func:`repro.sim.two_phase.replay_prefetcher`
-unrolled into an object: it holds the miss stream, the live mechanism,
-and the prefetch buffer, and :meth:`advance` runs the *identical* per-
-miss body over the next N entries. Because the loop body is the same
-statement-for-statement and all carried state (buffer contents and
-counters, mechanism state, measured-hit tally, counter baselines) is
-part of the session, advancing in any chunking produces byte-identical
-final statistics to a single-shot replay — the streaming service's
-contract, enforced by ``tests/ckpt/test_session.py`` and the
-differential suite.
+:class:`ReplaySession` is a replay unrolled into an object: it holds
+the miss stream, the mechanism and its prefetch buffer, and
+:meth:`~ReplaySession.advance` replays the next N entries. Mechanisms
+with a compiled loop run in a :class:`~repro.sim.batchpath.LiveSlot`
+whose tables, buffer, counters and history registers stay live across
+advances; the rest (exact-type dispatch) run the reference loop,
+:func:`~repro.sim.two_phase.replay_prefetcher`, over a session-owned
+buffer. Either way ``index`` is the global stream position and all
+carried state is part of the session, so advancing in any chunking
+produces byte-identical statistics to a single-shot replay — the
+streaming service's contract, enforced by ``tests/ckpt/test_session.py``
+and the differential suite.
 
-:meth:`snapshot` captures the whole session as a
+:meth:`~ReplaySession.snapshot` captures the whole session as a
 :class:`SessionSnapshot` (nesting the mechanism and buffer snapshots),
 and :meth:`ReplaySession.resume` rebuilds a live session from one —
 the service uses this pair to evict idle sessions and to survive
-server restarts.
+server restarts. A compiled session writes its final state back into
+the mechanism instance once, when the stream finishes.
 """
 
 from __future__ import annotations
@@ -62,13 +65,71 @@ class SessionSnapshot(StateSnapshot):
     buffer: BufferSnapshot
 
 
+class _ReferenceSlot:
+    """The reference loop behind :class:`~repro.sim.batchpath.LiveSlot`'s
+    interface, for mechanisms without a compiled loop."""
+
+    def __init__(
+        self,
+        miss_trace: MissTrace,
+        prefetcher: Prefetcher,
+        buffer_entries: int,
+        max_prefetches_per_miss: int,
+    ) -> None:
+        self.miss_trace = miss_trace
+        self.prefetcher = prefetcher
+        self.max_prefetches_per_miss = max_prefetches_per_miss
+        self.buffer = PrefetchBuffer(buffer_entries)
+        self.capacity = buffer_entries
+        self.pb_hits = 0
+
+    def seed(self, mechanism=None, buffer=None, pb_hits: int = 0) -> None:
+        # The mechanism snapshot was restored into the instance itself.
+        if buffer is not None:
+            restore_buffer(buffer, self.buffer)
+        self.pb_hits = pb_hits
+
+    def run(self, start: int, stop: int) -> None:
+        from ..sim.two_phase import replay_prefetcher
+
+        self.pb_hits += replay_prefetcher(
+            self.miss_trace,
+            self.prefetcher,
+            max_prefetches_per_miss=self.max_prefetches_per_miss,
+            start=start,
+            stop=stop,
+            buffer=self.buffer,
+        ).pb_hits
+
+    def totals(self) -> tuple[int, int, int, int, int, int]:
+        buffer, prefetcher = self.buffer, self.prefetcher
+        return (
+            self.pb_hits,
+            prefetcher.prefetches_issued,
+            buffer.inserted,
+            buffer.refreshed,
+            buffer.evicted_unused,
+            prefetcher.overhead_ops_total,
+        )
+
+    def write_back(self) -> None:
+        """Nothing to do: the reference loop trains the instance live."""
+
+    def mechanism_snapshot(self) -> MechanismSnapshot:
+        return snapshot_prefetcher(self.prefetcher)
+
+    def buffer_snapshot(self) -> BufferSnapshot:
+        return snapshot_buffer(self.buffer)
+
+
 class ReplaySession:
     """A suspendable, resumable phase-2 replay over one miss stream.
 
     Args:
         miss_trace: the filtered miss stream to replay.
-        prefetcher: the mechanism instance to drive (trained in place,
-            exactly as the reference engine trains it).
+        prefetcher: the mechanism instance to drive (trained exactly as
+            the reference engine trains it; a compiled session writes
+            the final state back when the stream finishes).
         buffer_entries: prefetch-buffer capacity.
         max_prefetches_per_miss: per-miss issue clamp (0 = unlimited).
     """
@@ -80,16 +141,18 @@ class ReplaySession:
         buffer_entries: int = 16,
         max_prefetches_per_miss: int = 0,
     ) -> None:
+        # Imported lazily: repro.sim imports this package.
+        from ..sim.batchpath import LiveSlot, supports
+
         self.miss_trace = miss_trace
         self.prefetcher = prefetcher
-        self.buffer = PrefetchBuffer(buffer_entries)
         self.max_prefetches_per_miss = max_prefetches_per_miss
-        pcs, pages, evicted = miss_trace.as_lists()
-        self._pcs = pcs
-        self._pages = pages
-        self._evicted = evicted
+        slot = LiveSlot if supports(prefetcher) else _ReferenceSlot
+        self._slot = slot(
+            miss_trace, prefetcher, buffer_entries, max_prefetches_per_miss
+        )
+        self._total = len(miss_trace)
         self.offset = 0
-        self.pb_hits_measured = 0
         # Counter baselines, exactly as replay_prefetcher snapshots them:
         # a pre-trained instance reports only this stream's activity.
         self.issued_before = prefetcher.prefetches_issued
@@ -98,7 +161,7 @@ class ReplaySession:
     @property
     def total(self) -> int:
         """Total miss entries in the stream."""
-        return len(self._pages)
+        return self._total
 
     @property
     def remaining(self) -> int:
@@ -110,39 +173,33 @@ class ReplaySession:
         """True once every entry has been replayed."""
         return self.offset >= self.total
 
+    @property
+    def pb_hits_measured(self) -> int:
+        """Buffer hits past the warm-up boundary so far."""
+        return self._slot.totals()[0]
+
+    @property
+    def buffer(self) -> PrefetchBuffer:
+        """A copy of the session's prefetch buffer, as of now."""
+        buffer = PrefetchBuffer(self._slot.capacity)
+        restore_buffer(self._slot.buffer_snapshot(), buffer)
+        return buffer
+
     def advance(self, count: int | None = None) -> int:
         """Replay up to ``count`` more entries (all remaining if None).
 
-        Returns the number actually advanced. The loop body is a
-        verbatim copy of :func:`~repro.sim.two_phase.replay_prefetcher`;
-        ``index`` is the *global* stream position, so the warm-up
-        boundary lands identically under any chunking.
+        Returns the number actually advanced. ``index`` is the *global*
+        stream position, so the warm-up boundary lands identically
+        under any chunking.
         """
         if count is not None and count < 0:
             raise CkptError(f"advance count must be >= 0, got {count}")
-        stop = self.total if count is None else min(self.total, self.offset + count)
         start = self.offset
-        pcs = self._pcs
-        pages = self._pages
-        evicted = self._evicted
-        warmup = self.miss_trace.warmup_misses
-        max_prefetches = self.max_prefetches_per_miss
-        pb_hits_measured = self.pb_hits_measured
-        lookup_remove = self.buffer.lookup_remove
-        insert = self.buffer.insert
-        on_miss = self.prefetcher.on_miss
-        for index in range(start, stop):
-            page = pages[index]
-            pb_hit = lookup_remove(page)
-            if pb_hit and index >= warmup:
-                pb_hits_measured += 1
-            prefetches = on_miss(pcs[index], page, evicted[index], pb_hit)
-            if max_prefetches and len(prefetches) > max_prefetches:
-                prefetches = prefetches[:max_prefetches]
-            for target in prefetches:
-                insert(target)
-        self.pb_hits_measured = pb_hits_measured
+        stop = self.total if count is None else min(self.total, start + count)
+        self._slot.run(start, stop)
         self.offset = stop
+        if start < stop == self.total:
+            self._slot.write_back()
         return stop - start
 
     def stats(self) -> PrefetchRunStats:
@@ -155,6 +212,7 @@ class ReplaySession:
         """
         from ..sim.stats import PrefetchRunStats
 
+        pb_hits, issued, inserted, refreshed, evicted, overhead = self._slot.totals()
         return PrefetchRunStats(
             workload=self.miss_trace.name,
             mechanism=self.prefetcher.label,
@@ -162,14 +220,13 @@ class ReplaySession:
             total_references=self.miss_trace.total_references,
             tlb_misses=self.miss_trace.num_misses,
             measured_misses=self.miss_trace.measured_misses,
-            pb_hits=self.pb_hits_measured,
-            prefetches_issued=self.prefetcher.prefetches_issued - self.issued_before,
-            buffer_inserted=self.buffer.inserted,
-            buffer_refreshed=self.buffer.refreshed,
-            buffer_evicted_unused=self.buffer.evicted_unused,
-            overhead_memory_ops=self.prefetcher.overhead_ops_total
-            - self.overhead_before,
-            prefetch_fetch_ops=self.buffer.inserted,
+            pb_hits=pb_hits,
+            prefetches_issued=issued - self.issued_before,
+            buffer_inserted=inserted,
+            buffer_refreshed=refreshed,
+            buffer_evicted_unused=evicted,
+            overhead_memory_ops=overhead - self.overhead_before,
+            prefetch_fetch_ops=inserted,
         )
 
     def snapshot(self) -> SessionSnapshot:
@@ -180,8 +237,8 @@ class ReplaySession:
             issued_before=self.issued_before,
             overhead_before=self.overhead_before,
             max_prefetches_per_miss=self.max_prefetches_per_miss,
-            mechanism=snapshot_prefetcher(self.prefetcher),
-            buffer=snapshot_buffer(self.buffer),
+            mechanism=self._slot.mechanism_snapshot(),
+            buffer=self._slot.buffer_snapshot(),
         )
 
     @classmethod
@@ -203,6 +260,9 @@ class ReplaySession:
             raise CkptError(
                 f"cannot resume a session from {type(snap).__name__}"
             )
+        # Restoring into real objects validates both snapshots.
+        restore_prefetcher(snap.mechanism, prefetcher)
+        restore_buffer(snap.buffer, PrefetchBuffer(snap.buffer.capacity))
         session = cls(
             miss_trace,
             prefetcher,
@@ -214,10 +274,8 @@ class ReplaySession:
                 f"corrupt session snapshot: offset {snap.offset} outside "
                 f"stream of {session.total} entries"
             )
-        restore_prefetcher(snap.mechanism, prefetcher)
-        restore_buffer(snap.buffer, session.buffer)
+        session._slot.seed(snap.mechanism, snap.buffer, snap.pb_hits_measured)
         session.offset = snap.offset
-        session.pb_hits_measured = snap.pb_hits_measured
         session.issued_before = snap.issued_before
         session.overhead_before = snap.overhead_before
         return session

@@ -51,10 +51,10 @@ from repro.store.store import (
 )
 from repro.sim import batchpath
 from repro.sim.config import TLBConfig
-from repro.sim.engine import batch_available, replay as engine_replay, resolve_engine
+from repro.sim.engine import COMPILED, resolve_engine
 from repro.sim.stats import PrefetchRunStats
 from repro.sim.sweep import rescale_trace
-from repro.sim.two_phase import filter_tlb
+from repro.sim.two_phase import filter_tlb, replay_prefetcher
 from repro.workloads.registry import get_trace
 
 #: Replay/stream telemetry. Instrumented per *replay* and per *stream
@@ -205,32 +205,27 @@ def build_miss_stream(spec: RunSpec) -> MissTrace:
     return stream
 
 
-def _replay(spec: RunSpec, miss_trace: MissTrace) -> PrefetchRunStats:
-    """Phase 2 for a spec, annotated with its identity coordinates.
-
-    The replay engine comes from ``spec.engine`` (``auto`` by default:
-    the fast path whenever the mechanism is eligible, the reference
-    engine otherwise — bit-identical either way, see
-    :mod:`repro.sim.engine`).
-    """
-    prefetcher = spec.build_prefetcher()
-    resolved = resolve_engine(prefetcher, spec.engine)
+def _replay_reference(
+    spec: RunSpec, miss_trace: MissTrace, prefetcher
+) -> PrefetchRunStats:
+    """Phase 2 for a spec on the reference engine, annotated with its
+    identity coordinates (compiled specs take one batch pass per
+    stream instead, see :meth:`Runner._run_serial`)."""
     began = time.perf_counter()
     with trace(
         "replay",
         workload=spec.workload,
         mechanism=spec.mechanism.label,
-        engine=resolved,
+        engine="reference",
     ):
-        stats = engine_replay(
+        stats = replay_prefetcher(
             miss_trace,
             prefetcher,
             buffer_entries=spec.buffer_entries,
             max_prefetches_per_miss=spec.max_prefetches_per_miss,
-            engine=spec.engine,
         )
-    _OBS_REPLAY_SECONDS.observe(time.perf_counter() - began, engine=resolved)
-    _OBS_REPLAY_ENTRIES.inc(len(miss_trace), engine=resolved)
+    _OBS_REPLAY_SECONDS.observe(time.perf_counter() - began, engine="reference")
+    _OBS_REPLAY_ENTRIES.inc(len(miss_trace), engine="reference")
     return annotate_stats(stats, spec)
 
 
@@ -250,8 +245,8 @@ def _run_group(specs: tuple[RunSpec, ...]) -> list[PrefetchRunStats]:
     All specs in a group share a stream key, so the group costs one
     TLB filter in this worker (already-warm caches inherited via
     ``fork`` make it free). The group goes through the same serial
-    path as in-process execution, so batch-eligible specs take the
-    one-pass loop inside the worker too.
+    path as in-process execution, so compiled specs take the one-pass
+    loop inside the worker too.
     """
     runner = Runner()
     return runner._run_serial(list(specs))
@@ -459,9 +454,7 @@ class Runner:
         replays in checkpoint-sized chunks, and clears the bookmark on
         completion — producing a byte-identical row either way.
         """
-        if self.checkpoint_every:
-            return self._run_resumable(spec)
-        return _replay(spec, self.miss_stream_for(spec))
+        return self._run_serial([spec])[0]
 
     def _run_resumable(self, spec: RunSpec) -> PrefetchRunStats:
         """Chunked replay with store-backed suspend/resume bookmarks."""
@@ -530,74 +523,58 @@ class Runner:
         return self._run_serial(spec_list)
 
     def _run_serial(self, spec_list: list[RunSpec]) -> list[PrefetchRunStats]:
-        """In-process execution with one-pass batching of stream groups.
+        """In-process execution: one compiled pass per stream group.
 
-        Specs are grouped by stream key; within a group, every spec
-        whose engine allows it (``"auto"`` or ``"batch"``) and whose
-        mechanism the batch loop supports is replayed in a *single*
-        pass over the shared miss stream
-        (:func:`repro.sim.batchpath.replay_batch`). ``"auto"`` only
-        batches groups of two or more such specs (a singleton has
-        nothing to amortize and takes the fast engine); ``"batch"``
-        forces the one-pass loop even for a group of one. Everything
-        else — ``"reference"``/``"fast"`` specs, mechanisms without a
-        batch loop — runs per-spec exactly as before, and checkpointed
-        runs are never batched (the batch loop is not suspendable).
+        Specs are grouped by stream key; within a group, every spec the
+        compiled engine takes (see
+        :func:`~repro.sim.engine.resolve_engine`) is replayed in a
+        *single* pass over the shared miss stream
+        (:func:`repro.sim.batchpath.replay_batch`), and the rest run
+        the reference loop one by one. With :attr:`checkpoint_every`
+        every spec runs as a suspendable session instead.
 
         The miss-stream cache is still consulted once per spec, so the
         hit/miss counter contract is identical to per-spec execution,
         and rows are bit-identical by the differential harness.
         """
-        if self.checkpoint_every or (
-            len(spec_list) < 2
-            and not any(spec.engine == "batch" for spec in spec_list)
-        ):
-            # Nothing to group — unless a spec *forces* the batch loop.
-            return [self.run_one(spec) for spec in spec_list]
+        if self.checkpoint_every:
+            return [self._run_resumable(spec) for spec in spec_list]
         results: list[PrefetchRunStats | None] = [None] * len(spec_list)
         groups: OrderedDict[tuple, list[int]] = OrderedDict()
         for index, spec in enumerate(spec_list):
             groups.setdefault(spec.stream_key(), []).append(index)
         for indices in groups.values():
-            batchable: list[tuple[int, RunSpec, object]] = []
+            compiled: list[tuple[int, RunSpec, object]] = []
             for index in indices:
                 spec = spec_list[index]
-                if spec.engine in ("auto", "batch"):
-                    prefetcher = spec.build_prefetcher()
-                    if batch_available(prefetcher):
-                        batchable.append((index, spec, prefetcher))
-                        continue
-                results[index] = self.run_one(spec)
-            if not batchable:
-                continue
-            forced = any(spec.engine == "batch" for _, spec, _ in batchable)
-            if len(batchable) < 2 and not forced:
-                for index, spec, _ in batchable:
-                    results[index] = self.run_one(spec)
-                continue
-            miss_trace = None
-            for _, spec, _ in batchable:
+                prefetcher = spec.build_prefetcher()
                 miss_trace = self.miss_stream_for(spec)
+                if resolve_engine(prefetcher, spec.engine) == COMPILED:
+                    compiled.append((index, spec, prefetcher))
+                else:
+                    results[index] = _replay_reference(spec, miss_trace, prefetcher)
+            if not compiled:
+                continue
             began = time.perf_counter()
             with trace(
                 "replay.batch",
-                workload=batchable[0][1].workload,
-                specs=len(batchable),
+                workload=compiled[0][1].workload,
+                specs=len(compiled),
             ):
                 stats = batchpath.replay_batch(
                     miss_trace,
                     [
                         (p, spec.buffer_entries, spec.max_prefetches_per_miss)
-                        for _, spec, p in batchable
+                        for _, spec, p in compiled
                     ],
                 )
             _OBS_REPLAY_SECONDS.observe(
-                time.perf_counter() - began, engine="batch"
+                time.perf_counter() - began, engine=COMPILED
             )
             _OBS_REPLAY_ENTRIES.inc(
-                len(miss_trace) * len(batchable), engine="batch"
+                len(miss_trace) * len(compiled), engine=COMPILED
             )
-            for (index, spec, _), row in zip(batchable, stats):
+            for (index, spec, _), row in zip(compiled, stats):
                 results[index] = annotate_stats(row, spec)
         return results  # type: ignore[return-value]
 

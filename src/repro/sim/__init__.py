@@ -9,12 +9,13 @@
   stream per prefetcher. Exactly equivalent to the functional path
   (property-tested) because prefetching cannot change the TLB miss
   stream.
-- :mod:`repro.sim.fastpath` — vectorized fast-path replay: each
-  mechanism compiled into one flat-array loop, bit-identical to the
-  reference replay (enforced by ``tests/differential/``).
+- :mod:`repro.sim.batchpath` — the compiled replay engine: generated
+  flat-array loops, one pass for many fresh specs or a live slot for
+  warm instances and sessions, bit-identical to the reference replay
+  (enforced by ``tests/differential/``).
 - :mod:`repro.sim.engine` — engine selection (``auto`` / ``reference``
-  / ``fast``) shared by ``RunSpec``, ``evaluate``, ``simulate`` and
-  the CLI.
+  / ``fast`` / ``batch``) shared by ``RunSpec``, ``evaluate``,
+  ``simulate`` and the CLI.
 - :mod:`repro.sim.cycle` — execution-cycle timing model (the
   sim-outorder analogue behind the paper's Table 3).
 - :mod:`repro.sim.sweep` — parameter-sweep drivers for the sensitivity
@@ -26,7 +27,6 @@
 from repro.sim.config import SimulationConfig, TLBConfig
 from repro.sim.cycle import CycleSimConfig, CycleStats, simulate_cycles
 from repro.sim.engine import ENGINES, replay, resolve_engine
-from repro.sim.fastpath import replay_fast
 from repro.sim.functional import simulate
 from repro.sim.stats import PrefetchRunStats
 from repro.sim.two_phase import filter_tlb, replay_prefetcher
@@ -40,7 +40,6 @@ __all__ = [
     "TLBConfig",
     "filter_tlb",
     "replay",
-    "replay_fast",
     "replay_prefetcher",
     "resolve_engine",
     "simulate",

@@ -1,61 +1,65 @@
-"""One-pass multi-mechanism batch replay: N configs, one stream scan.
+"""The compiled replay engine: generated loops over a recorded miss stream.
 
-A sweep replays the same read-only miss stream once per mechanism
-configuration — 84 specs over 4 streams in the smoke bench — so the
-dominant cost is re-scanning identical streams. This module compiles
-every requested config that shares a stream into **one specialized
-Python loop** that advances all of their tables in a single pass,
-reusing :mod:`repro.sim.fastpath`'s kernels per slot: flat parallel
-arrays for direct-mapped tables, per-set insertion-ordered dicts
-(first key = LRU) for other associativities, an insertion-ordered-dict
-prefetch buffer with a local population counter, and plain integer
-statistics counters.
+:func:`repro.sim.two_phase.replay_prefetcher` is the *reference*
+replay: it drives live :class:`~repro.prefetch.base.Prefetcher` and
+:class:`~repro.tlb.prefetch_buffer.PrefetchBuffer` objects miss by
+miss. This module is the *compiled* replay. It generates one
+specialized Python loop per shape of work, with every per-slot
+constant (rows, ways, slots, buffer capacity, clamp, warm-up boundary,
+degrees) inlined as a literal, ``compile()``s it once and memoizes it
+by that shape. Slot state lives in flat parallel arrays for
+direct-mapped tables, per-set insertion-ordered dicts (first key =
+LRU) for other associativities, an insertion-ordered-dict prefetch
+buffer with a local population counter, and plain integer counters.
 
-Two exact optimizations make the batch engine more than a fused loop:
+Two entry points share the generator:
 
-1. **Equivalence-class deduplication.** A prediction table's content
-   trajectory depends only on its key stream (pages for MP, distances
-   for DP, PCs for ASP, packed keys for DP-PC/DP-2) and its key→set
-   mapping. Before running, the batch planner analyzes the stream's
-   key universe and proves two sufficient conditions:
+- :func:`replay_batch` replays N *fresh* mechanisms over one stream in
+  a single pass (a sweep's many specs per stream). Because no slot's
+  state is ever read back, the planner may prove slots equivalent and
+  simulate each class once:
 
-   - *Never-overflow*: if no set ever holds more distinct keys than it
-     has ways, LRU eviction can never fire, so the table behaves
-     exactly like an unbounded per-key dict — independent of geometry.
-     Every such config is bit-identical to every other one (same
-     family, slots, buffer, clamp), so one simulation serves all.
-   - *Same-partition*: two geometries that induce the same partition
-     of the key universe into sets, with equal ways, perform the same
-     set operations in the same order and are bit-identical.
+  - *Never-overflow*: if no set ever holds more distinct keys than it
+    has ways, LRU eviction can never fire, so the table behaves
+    exactly like an unbounded per-key dict, independent of geometry.
+    Such tables are emitted as one plain dict with no set indexing.
+  - *Same-partition*: two geometries that induce the same partition
+    of the key universe into sets, with equal ways, perform the same
+    set operations in the same order and are bit-identical.
+  - *Never-hits*: a key stream that never repeats a key issues no
+    prefetch for any geometry; the slot costs nothing to simulate.
 
-   Slots proven equivalent share one simulation and one counter set;
-   each still reports its own mechanism label.
+- :class:`LiveSlot` holds *one* mechanism and its buffer in loop form
+  across calls: it seeds from a :mod:`repro.ckpt` mechanism (and
+  buffer) snapshot, replays any entry range ``[start, stop)``, and
+  hands its state back as snapshots. Its slot is emitted with the
+  concrete geometry, since its state is read back. :func:`replay_live`
+  (warm-started single replays) and
+  :class:`~repro.ckpt.session.ReplaySession` are built on it.
 
-2. **Constant-inlined code generation.** The fused loop is generated
-   as source text with every per-slot constant (rows, ways, slots,
-   buffer capacity, clamp, warm-up boundary, degrees) inlined as a
-   literal, then ``compile()``d once and memoized by its shape — so a
-   sweep's second stream reuses the first's code object. Never-
-   overflow tables are emitted as single plain dicts with no set
-   indexing, no LRU promotion and no eviction branch at all.
-
-The contract is the same as the fast engine's: **bit-identical
-statistics** to :func:`repro.sim.two_phase.replay_prefetcher`,
-enforced by ``tests/differential/`` (curated grid + fuzzing) and the
-golden files. Unlike :func:`repro.sim.fastpath.replay_fast`, the batch
-engine replays *freshly built* mechanisms only and does not write
-state back into the instances: it exists for :class:`~repro.run.Runner`
-batches, where every spec builds a throwaway mechanism. Warm (trained)
-instances are rejected here and take the per-spec engines instead —
-`engine.replay` falls back for them.
+The contract is **bit-identical statistics** (and, for live slots,
+canonical snapshot digests) to the reference engine, enforced by
+``tests/differential/`` (curated grid, fuzzing, warm start and
+mid-stream sessions) and the golden files. Dispatch is on exact type:
+user subclasses may override behavior the loops do not model, so they
+always take the reference engine.
 """
 
 from __future__ import annotations
 
+import ast
+import dataclasses
 import weakref
 
 import numpy as np
 
+from repro.ckpt.snapshots import (
+    BufferSnapshot,
+    MechanismSnapshot,
+    TableSnapshot,
+    restore_prefetcher,
+    snapshot_prefetcher,
+)
 from repro.core.distance import DistancePrefetcher
 from repro.core.distance_pair import DistancePairPrefetcher, pack_distance_pair
 from repro.core.pc_distance import PCDistancePrefetcher, pack_pc_distance
@@ -68,20 +72,37 @@ from repro.prefetch.null import NullPrefetcher
 from repro.prefetch.recency import RecencyPrefetcher
 from repro.prefetch.sequential import SequentialPrefetcher
 from repro.prefetch.stride import ArbitraryStridePrefetcher
-from repro.sim import fastpath
-from repro.sim.fastpath import compile_stream
 
 #: Families with a table whose key universe the planner can analyze.
 _TABLE_FAMILIES = ("stride", "markov", "distance", "pcdist", "distpair")
 
+#: Mechanism classes the compiled engine has a loop for. Dispatch is
+#: on *exact* type: user subclasses take the reference engine.
+_COMPILED_TYPES = (
+    NullPrefetcher,
+    SequentialPrefetcher,
+    AdaptiveSequentialPrefetcher,
+    ArbitraryStridePrefetcher,
+    MarkovPrefetcher,
+    DistancePrefetcher,
+    PCDistancePrefetcher,
+    DistancePairPrefetcher,
+    RecencyPrefetcher,
+)
+
 
 def supports(prefetcher: Prefetcher) -> bool:
-    """True when the batch engine has a loop for this mechanism.
+    """True when the compiled engine has a loop for this mechanism."""
+    return type(prefetcher) in _COMPILED_TYPES
 
-    The batch engine covers exactly the fast engine's mechanism set
-    (dispatch is on exact type — subclasses take the reference engine).
-    """
-    return fastpath.supports(prefetcher)
+
+def is_fresh(prefetcher: Prefetcher) -> bool:
+    """True when the instance carries no trained state or statistics."""
+    return (
+        not prefetcher.prefetches_issued
+        and not prefetcher.overhead_ops_total
+        and not prefetcher.has_prediction_state()
+    )
 
 
 class _SlotPlan:
@@ -98,15 +119,10 @@ class _SlotPlan:
 
 
 def _plan(prefetcher: Prefetcher, cap: int, clamp: int) -> _SlotPlan:
-    if not fastpath.supports(prefetcher):
+    if not supports(prefetcher):
         raise ConfigurationError(
-            f"batch engine has no replay loop for {type(prefetcher).__name__}; "
+            f"compiled engine has no replay loop for {type(prefetcher).__name__}; "
             "use engine='reference'"
-        )
-    if not fastpath.is_fresh(prefetcher):
-        raise ConfigurationError(
-            "batch engine replays freshly built mechanisms only; warm "
-            "instances take the per-spec engines (engine='auto'/'fast')"
         )
     kind = type(prefetcher)
     label = prefetcher.label
@@ -859,9 +875,9 @@ def _emit_keyed_table(k, sig, warmup, key_var, prev_var, section):
         return setup, {section: out}, _result(k)
     rows, ways = geom
     if ways == 1 and sig[0] == "distance":
-        # DP direct-mapped keeps fastpath's flat-array kernel; tags
-        # start at an unmatchable None sentinel (distances may be any
-        # integer, so no integer sentinel is safe).
+        # DP direct-mapped: flat parallel arrays; tags start at an
+        # unmatchable None sentinel (distances may be any integer, so
+        # no integer sentinel is safe).
         setup = _counters_setup(k) + [
             f"tag{k} = [None] * {rows}",
             f"sl{k} = [[] for _ in range({rows})]",
@@ -920,10 +936,10 @@ def _emit_keyed_table(k, sig, warmup, key_var, prev_var, section):
     return setup, {section: out}, _result(k)
 
 
-def _emit_recency(k, sig, warmup):
+def _emit_recency(k, sig, warmup, probe_var="rpage"):
     (variant_three,), cap, clamp = sig[1], sig[2], sig[3]
     out: list[str] = []
-    out.extend(_probe_lines("", k, "rpage", warmup))
+    out.extend(_probe_lines("", k, probe_var, warmup))
     if not clamp:
         # No clamp: install each stack neighbor directly, in the same
         # above-then-below(-then-third) order the list would have had.
@@ -953,6 +969,85 @@ def _emit_recency(k, sig, warmup):
     out.append(f"    for tg{k} in pf{k}:")
     out.extend(_insert_lines("        ", k, f"tg{k}", cap))
     return _counters_setup(k), {"rp": out}, _result(k, "rp_overhead")
+
+
+#: RP's stack step on one miss, over a live page -> [next, prev,
+#: on_stack] dict (-1 = no link): read the missed page's neighbors and
+#: unlink it, then push the evicted page on top. A page's first touch
+#: creates its entry, exactly as the reference page table does, so the
+#: dict's keys are the PTE set a snapshot reports.
+_LIVE_STACK = """\
+re@K@ = rp@K@.get(page)
+if re@K@ is None:
+    rp@K@[page] = [-1, -1, False]
+    rabove = rbelow = -1
+    rlo@K@ = 0
+elif re@K@[2]:
+    rbelow = re@K@[0]
+    rabove = re@K@[1]
+    if rabove != -1:
+        rp@K@[rabove][0] = rbelow
+    else:
+        rtop@K@ = rbelow
+    if rbelow != -1:
+        rp@K@[rbelow][1] = rabove
+    re@K@[0] = re@K@[1] = -1
+    re@K@[2] = False
+    rov@K@ += 2
+    rlo@K@ = 2
+else:
+    rabove = rbelow = -1
+    rlo@K@ = 0
+revt = evicted[index]
+if revt != -1:
+    rx@K@ = rp@K@.get(revt)
+    if rx@K@ is None:
+        rx@K@ = rp@K@[revt] = [rtop@K@, -1, True]
+    else:
+        if rx@K@[2]:
+            ra@K@ = rx@K@[1]
+            rb@K@ = rx@K@[0]
+            if ra@K@ != -1:
+                rp@K@[ra@K@][0] = rb@K@
+            else:
+                rtop@K@ = rb@K@
+            if rb@K@ != -1:
+                rp@K@[rb@K@][1] = ra@K@
+        rx@K@[0] = rtop@K@
+        rx@K@[1] = -1
+        rx@K@[2] = True
+    if rtop@K@ != -1:
+        rp@K@[rtop@K@][1] = revt
+    rtop@K@ = revt
+    rov@K@ += 2
+    rlo@K@ += 2
+"""
+
+_LIVE_THIRD = """\
+rthird = -1
+if rbelow != -1:
+    rt@K@ = rp@K@[rbelow]
+    if rt@K@[2] and rt@K@[0] != page:
+        rthird = rt@K@[0]
+"""
+
+
+def _emit_live_recency(k, sig, warmup):
+    """RP with its stack in the slot: a live slot's state is read back,
+    so it cannot use the per-trace precomputed neighbor streams. The
+    buffer work is :func:`_emit_recency`'s, keyed by real pages."""
+    (variant_three,), cap, clamp = sig[1], sig[2], sig[3]
+    template = _LIVE_STACK + (_LIVE_THIRD if variant_three else "")
+    out: list[str] = []
+    _render(out, template, "", k, {}, warmup, cap, clamp)
+    _, sections, _ = _emit_recency(k, sig, warmup, probe_var="page")
+    out.extend(sections["rp"])
+    setup = _counters_setup(k) + [
+        f"rp{k} = {{}}",
+        f"rtop{k} = -1",
+        f"rov{k} = rlo{k} = 0",
+    ]
+    return setup, {"top": out}, _result(k, f"rov{k}")
 
 
 def _recency_streams(
@@ -1029,6 +1124,15 @@ def _emit_class(k: str, sig: tuple, warmup: int):
         return [], {}, "(0, 0, 0, 0, 0, 0)"
     if family == "none":
         return _emit_none(k, sig, warmup)
+    if family == "none-live":
+        # A live Null slot still drains a seeded buffer on hits.
+        return (
+            _counters_setup(k),
+            {"top": _probe_lines("", k, "page", warmup)},
+            _result(k),
+        )
+    if family == "rp-live":
+        return _emit_live_recency(k, sig, warmup)
     if family == "seq":
         return _emit_seq(k, sig, warmup)
     if family == "aseq":
@@ -1060,8 +1164,32 @@ def _emit_class(k: str, sig: tuple, warmup: int):
     return setup, sections, result
 
 
-def _generate(warmup: int, emit_sigs: tuple[tuple, ...]) -> str:
-    """Source of the fused loop for one batch shape."""
+def _state_names(lines: list[str]) -> tuple[list[str], list[str]]:
+    """Split a slot's setup lines into state names and derived lines.
+
+    A line binding a bound method (``bp0 = buf0.pop``) is derived: a
+    live loop re-binds it after loading the state it derives from.
+    """
+    names: list[str] = []
+    derived: list[str] = []
+    for line in lines:
+        node = ast.parse(line).body[0]
+        if isinstance(node.value, ast.Attribute):
+            derived.append(line)
+        else:
+            names.extend(target.id for target in node.targets)
+    return names, derived
+
+
+def _generate(
+    warmup: int, emit_sigs: tuple[tuple, ...], live: bool = False
+) -> str:
+    """Source of the fused loop for one batch shape.
+
+    A ``live`` shape differs only around the per-miss body: an
+    ``_init()`` builds the slot state as a dict, and the loop loads it
+    from that dict, replays ``[start, stop)`` and stores it back.
+    """
     setups: list[str] = []
     tops: list[str] = []
     mps: list[str] = []
@@ -1096,32 +1224,49 @@ def _generate(warmup: int, emit_sigs: tuple[tuple, ...]) -> str:
         rps.extend(sections.get("rp", ()))
         results.append(result)
 
-    lines = [
-        # Hot-loop names bound as defaults: LOAD_FAST instead of
-        # LOAD_GLOBAL for every builtin/table-helper call per miss.
-        "def _batch(pcs, pages, rp_pages, rp_above, rp_below, "
-        "rp_third, rp_overhead,",
+    inits = list(setups)
+    if need_lp:
+        inits.append("last_page = None")
+    if need_pd:
+        inits.append("last_dist = None")
+    if need_kpc:
+        inits.append("last_kpc = None")
+    if need_dpk:
+        inits.append("last_dpk = None")
+    pad = "    "
+    if live:
+        state, derived = _state_names(inits)
+        lines = ["def _init():"]
+        lines.extend(pad + line for line in inits)
+        lines.append(
+            pad + "return {" + ", ".join(f"{n!r}: {n}" for n in state) + "}"
+        )
+        lines.append("")
+        lines.append("def _batch(pcs, pages, evicted, start, stop, S,")
+    else:
+        lines = [
+            "def _batch(pcs, pages, rp_pages, rp_above, rp_below, "
+            "rp_third, rp_overhead,",
+        ]
+    # Hot-loop names bound as defaults: LOAD_FAST instead of
+    # LOAD_GLOBAL for every builtin/table-helper call per miss.
+    lines += [
         "           len=len, next=next, iter=iter, min=min, max=max,",
         "           pack_pc_distance=pack_pc_distance,",
         "           pack_distance_pair=pack_distance_pair):",
     ]
-    pad = "    "
-    for line in setups:
-        lines.append(pad + line)
-    if need_lp:
-        lines.append(pad + "last_page = None")
-    if need_pd:
-        lines.append(pad + "last_dist = None")
-    if need_kpc:
-        lines.append(pad + "last_kpc = None")
-    if need_dpk:
-        lines.append(pad + "last_dpk = None")
+    if live:
+        lines.extend(f"{pad}{name} = S[{name!r}]" for name in state)
+        lines.extend(pad + line for line in derived)
+    else:
+        lines.extend(pad + line for line in inits)
     loop: list[str] = []
     if need_lp:
         loop.append("lp = last_page")
         loop.append("last_page = page")
-    if warmup:
-        # Probes test `index >= warmup`, so the loop must enumerate.
+    if warmup or live:
+        # Probes test `index >= warmup` (and a live loop indexes the
+        # global stream position), so the loop must enumerate.
         if need_pc:
             loop.append("pc = pcs[index]")
         if need_rp:
@@ -1162,7 +1307,11 @@ def _generate(warmup: int, emit_sigs: tuple[tuple, ...]) -> str:
         # An all-Null batch has no per-miss work at all — skip the loop.
         # Without a warm-up window nothing reads `index`: zip exactly
         # the arrays the bodies touch instead of enumerating.
-        if warmup:
+        if live:
+            lines.append(
+                pad + "for index, page in enumerate(pages[start:stop], start):"
+            )
+        elif warmup:
             lines.append(pad + "for index, page in enumerate(pages):")
         else:
             names, iters = ["page"], ["pages"]
@@ -1185,6 +1334,9 @@ def _generate(warmup: int, emit_sigs: tuple[tuple, ...]) -> str:
         body = pad + pad
         for line in loop:
             lines.append(body + line)
+    if live:
+        lines.extend(f"{pad}S[{name!r}] = {name}" for name in state)
+        return "\n".join(lines) + "\n"
     lines.append(pad + "return [")
     for result in results:
         lines.append(pad + pad + result + ",")
@@ -1192,27 +1344,29 @@ def _generate(warmup: int, emit_sigs: tuple[tuple, ...]) -> str:
     return "\n".join(lines) + "\n"
 
 
-#: Compiled fused loops memoized by (warmup, emission signatures) —
-#: a sweep's streams typically share one shape, so codegen runs once.
+#: Compiled fused loops memoized by (warmup, emission signatures,
+#: live) — a sweep's streams typically share one shape, so codegen
+#: runs once.
 _CODE_CACHE: dict[tuple, object] = {}
 
 #: Source of the most recently generated loop (debugging/tests).
 _LAST_SOURCE: str | None = None
 
 
-def _compiled(warmup: int, emit_sigs: tuple[tuple, ...]):
+def _compiled(warmup: int, emit_sigs: tuple[tuple, ...], live: bool = False):
+    """The compiled loop for a shape; ``(init, loop)`` when ``live``."""
     global _LAST_SOURCE
-    key = (warmup, emit_sigs)
+    key = (warmup, emit_sigs, live)
     fn = _CODE_CACHE.get(key)
     if fn is None:
-        source = _generate(warmup, emit_sigs)
+        source = _generate(warmup, emit_sigs, live)
         _LAST_SOURCE = source
         namespace = {
             "pack_pc_distance": pack_pc_distance,
             "pack_distance_pair": pack_distance_pair,
         }
         exec(compile(source, "<repro.sim.batchpath>", "exec"), namespace)
-        fn = namespace["_batch"]
+        fn = (namespace["_init"], namespace["_batch"]) if live else namespace["_batch"]
         if len(_CODE_CACHE) >= 256:
             _CODE_CACHE.clear()
         _CODE_CACHE[key] = fn
@@ -1268,12 +1422,22 @@ def replay_batch(
     freshly built instance of a supported mechanism (raises
     :class:`~repro.errors.ConfigurationError` otherwise). Returns one
     :class:`~repro.sim.stats.PrefetchRunStats` per request, in request
-    order, bit-identical to what the reference and per-spec fast
-    engines produce. The instances are *not* trained — batch replays
-    are for throwaway mechanisms built from specs.
+    order, bit-identical to what the reference engine produces. The
+    instances are *not* trained — batch replays are for throwaway
+    mechanisms built from specs; warm instances take
+    :func:`replay_live`.
     """
-    plans = [_plan(p, cap, clamp) for p, cap, clamp in requests]
-    pcs, pages, _evicted, warmup = compile_stream(miss_trace)
+    plans = []
+    for prefetcher, cap, clamp in requests:
+        plan = _plan(prefetcher, cap, clamp)
+        if not is_fresh(prefetcher):
+            raise ConfigurationError(
+                "replay_batch replays freshly built mechanisms only; "
+                "warm instances take replay_live"
+            )
+        plans.append(plan)
+    pcs, pages, _evicted = miss_trace.as_lists()
+    warmup = miss_trace.warmup_misses
     analysis = _analysis_for(miss_trace)
     if analysis.keys is None:
         analysis.keys = _StreamKeys(pcs, pages)
@@ -1344,4 +1508,322 @@ def _make_stats(miss_trace: MissTrace, label: str, row: tuple):
         overhead_memory_ops=overhead,
         # A prefetch already buffered is coalesced, costing no new fetch.
         prefetch_fetch_ops=inserted,
+    )
+
+
+# ---------------------------------------------------------------------------
+# Live slots: one mechanism held in loop form across calls, seeded from
+# and read back as repro.ckpt snapshots.
+# ---------------------------------------------------------------------------
+
+#: Live-state scalar -> mechanism-snapshot field, per family (a live
+#: shape has one slot, so its generated names carry index 0).
+_SNAPSHOT_SCALARS: dict[str, tuple[tuple[str, str], ...]] = {
+    "aseq": (("deg0", "degree"), ("wm0", "window_misses"), ("wh0", "window_hits")),
+    "markov": (("last_page", "prev_page"),),
+    "distance": (("last_page", "prev_page"), ("last_dist", "prev_distance")),
+    "pcdist": (("last_page", "prev_page"), ("last_kpc", "prev_key")),
+    "distpair": (
+        ("last_page", "prev_page"),
+        ("last_dist", "prev_distance"),
+        ("last_dpk", "prev_key"),
+    ),
+}
+
+
+def _live_sig(plan: _SlotPlan) -> tuple:
+    """Emission signature of a live slot: always the concrete geometry."""
+    if plan.family in _TABLE_FAMILIES:
+        rest, geom = plan.config[2:], plan.config[:2]
+        return (plan.family, rest, geom, plan.cap, plan.clamp)
+    if plan.family == "none":
+        return ("none-live",)
+    if plan.family == "recency":
+        return ("rp-live", plan.config, plan.cap, plan.clamp)
+    return (plan.family, plan.config, plan.cap, plan.clamp)
+
+
+def _table_sets(state: dict) -> list[dict]:
+    """A set-associative live table's per-set dicts."""
+    return [state["ts0"]] if "ts0" in state else state["sets0"]
+
+
+def _seed_table(state: dict, family: str, table: TableSnapshot) -> None:
+    if "tag0" not in state:
+        for table_set, pairs in zip(_table_sets(state), table.sets):
+            for key, payload in pairs:
+                table_set[key] = list(payload)
+        return
+    tags = state["tag0"]
+    for row, pairs in enumerate(table.sets):
+        if not pairs:
+            continue
+        key, payload = pairs[-1]
+        tags[row] = key
+        if family == "stride":
+            state["ppg0"][row], state["str0"][row], state["sst0"][row] = payload
+        elif "cn0" in state:
+            state["cn0"][row] = len(payload)
+            for name, value in zip(("ma0", "mb0"), payload):
+                state[name][row] = value
+        else:
+            state["sl0"][row] = list(payload)
+
+
+def _table_snapshot(state: dict, family: str, rows: int, ways: int) -> TableSnapshot:
+    if "tag0" not in state:
+        sets = [
+            [[key, list(payload)] for key, payload in table_set.items()]
+            for table_set in _table_sets(state)
+        ]
+        return TableSnapshot(rows=rows, ways=ways, sets=sets)
+    if family == "stride":
+        columns = (state["ppg0"], state["str0"], state["sst0"])
+
+        def payload(row):
+            return [column[row] for column in columns]
+    elif "cn0" in state:
+        counts, first, second = state["cn0"], state["ma0"], state["mb0"]
+
+        def payload(row):
+            return [first[row], second[row]][: counts[row]]
+    else:
+        slot_rows = state["sl0"]
+
+        def payload(row):
+            return list(slot_rows[row])
+
+    sets = [
+        [[tag, payload(row)]] if tag is not None else []
+        for row, tag in enumerate(state["tag0"])
+    ]
+    return TableSnapshot(rows=rows, ways=ways, sets=sets)
+
+
+class LiveSlot:
+    """One mechanism and its prefetch buffer, held in compiled-loop form.
+
+    The slot's tables, buffer dict, counters and history registers stay
+    live between :meth:`run` calls, so replaying a stream in any
+    chunking costs what one pass costs. The loop is compiled and the
+    state seeded lazily, on the first :meth:`run`, from a mechanism
+    snapshot (by default the instance's own) and an optional buffer
+    snapshot (see :meth:`seed`). :meth:`mechanism_snapshot` and
+    :meth:`buffer_snapshot` read the state back in the canonical form
+    the reference engine's objects would give; only
+    :meth:`write_back` touches the instance itself.
+
+    Raises :class:`~repro.errors.ConfigurationError` for a mechanism
+    without a compiled loop or a non-positive buffer capacity.
+    """
+
+    def __init__(
+        self,
+        miss_trace: MissTrace,
+        prefetcher: Prefetcher,
+        buffer_entries: int = 16,
+        max_prefetches_per_miss: int = 0,
+    ) -> None:
+        if buffer_entries <= 0:
+            raise ConfigurationError(
+                f"buffer capacity must be > 0, got {buffer_entries}"
+            )
+        plan = _plan(prefetcher, buffer_entries, max_prefetches_per_miss)
+        self.miss_trace = miss_trace
+        self.capacity = buffer_entries
+        self._prefetcher = prefetcher
+        self._sig = _live_sig(plan)
+        self._rows_ways = plan.config[:2]
+        self._code = None
+        self._mechanism: MechanismSnapshot | None = None
+        self._buffer = BufferSnapshot(
+            capacity=buffer_entries, hits=0, lookups=0, inserted=0,
+            refreshed=0, evicted_unused=0, pages=[],
+        )
+        self._pb_hits = 0
+        self._issued = prefetcher.prefetches_issued
+        self._overhead = prefetcher.overhead_ops_total
+        self._state: dict | None = None
+        self._advanced = 0
+
+    def seed(
+        self,
+        mechanism: MechanismSnapshot | None = None,
+        buffer: BufferSnapshot | None = None,
+        pb_hits: int = 0,
+    ) -> None:
+        """Start from these snapshots instead of the instance's state.
+
+        Must precede the first :meth:`run`. The snapshots are trusted:
+        validate them first (e.g. by restoring them into objects).
+        """
+        if self._state is not None:
+            raise ConfigurationError("a live slot is seeded before it runs")
+        if mechanism is not None:
+            self._mechanism = mechanism
+            self._issued = mechanism.prefetches_issued
+            self._overhead = mechanism.overhead_ops_total
+        if buffer is not None:
+            self._buffer = buffer
+        self._pb_hits = pb_hits
+
+    def _seed_mechanism(self) -> MechanismSnapshot:
+        if self._mechanism is None:
+            self._mechanism = snapshot_prefetcher(self._prefetcher)
+        return self._mechanism
+
+    def _build_state(self) -> dict:
+        self._code = _compiled(
+            self.miss_trace.warmup_misses, (self._sig,), live=True
+        )
+        state = self._code[0]()
+        seed = self._seed_mechanism()
+        family = self._sig[0]
+        for name, field in _SNAPSHOT_SCALARS.get(family, ()):
+            state[name] = getattr(seed, field)
+        if family in _TABLE_FAMILIES:
+            _seed_table(state, family, seed.table)
+        elif family == "rp-live":
+            links = state["rp0"]
+            for page, below, above, on_stack in seed.entries:
+                links[page] = [
+                    -1 if below is None else below,
+                    -1 if above is None else above,
+                    bool(on_stack),
+                ]
+            state["rtop0"] = -1 if seed.top is None else seed.top
+            state["rlo0"] = seed.last_overhead_ops
+        buffer = self._buffer
+        state["buf0"].update(dict.fromkeys(buffer.pages))
+        state["bn0"] = len(buffer.pages)
+        state["pb0"] = self._pb_hits
+        state["ins0"] = buffer.inserted
+        state["rf0"] = buffer.refreshed
+        state["ev0"] = buffer.evicted_unused
+        return state
+
+    def run(self, start: int, stop: int) -> None:
+        """Replay stream entries ``[start, stop)`` on the live state."""
+        if start >= stop:
+            return
+        if self._state is None:
+            self._state = self._build_state()
+        pcs, pages, evicted = self.miss_trace.as_lists()
+        self._code[1](pcs, pages, evicted, start, stop, self._state)
+        self._advanced += stop - start
+
+    def totals(self) -> tuple[int, int, int, int, int, int]:
+        """``(pb_hits, prefetches_issued, inserted, refreshed,
+        evicted_unused, overhead_ops_total)`` so far.
+
+        Issue and overhead tallies are the instance's lifetime totals
+        (what its ``Prefetcher`` counters would read); the rest are the
+        buffer's, from the seeded values on.
+        """
+        state = self._state
+        if state is None:
+            buffer = self._buffer
+            return (
+                self._pb_hits, self._issued, buffer.inserted,
+                buffer.refreshed, buffer.evicted_unused, self._overhead,
+            )
+        return (
+            state["pb0"],
+            self._issued + state["iss0"],
+            state["ins0"],
+            state["rf0"],
+            state["ev0"],
+            self._overhead + state.get("rov0", 0),
+        )
+
+    def mechanism_snapshot(self) -> MechanismSnapshot:
+        """The mechanism's current state as a canonical snapshot."""
+        seed = self._seed_mechanism()
+        state = self._state
+        family = self._sig[0]
+        if state is None or family == "none-live":
+            # Null never calls account(): nothing about it changes.
+            return seed
+        _, issued, _, _, _, overhead = self.totals()
+        fields = {"prefetches_issued": issued, "overhead_ops_total": overhead}
+        if family == "rp-live":
+            fields["last_overhead_ops"] = state["rlo0"]
+            top = state["rtop0"]
+            fields["top"] = None if top == -1 else top
+            fields["entries"] = [
+                [
+                    page,
+                    None if below == -1 else below,
+                    None if above == -1 else above,
+                    on_stack,
+                ]
+                for page, (below, above, on_stack) in sorted(state["rp0"].items())
+            ]
+            return dataclasses.replace(seed, **fields)
+        # Every other mechanism accounts each miss with no overhead.
+        fields["last_overhead_ops"] = 0
+        for name, field in _SNAPSHOT_SCALARS.get(family, ()):
+            fields[field] = state[name]
+        if family in _TABLE_FAMILIES:
+            fields["table"] = _table_snapshot(state, family, *self._rows_ways)
+        return dataclasses.replace(seed, **fields)
+
+    def write_back(self) -> None:
+        """Restore the current mechanism state into the instance."""
+        restore_prefetcher(self.mechanism_snapshot(), self._prefetcher)
+
+    def buffer_snapshot(self) -> BufferSnapshot:
+        """The prefetch buffer's current contents and counters."""
+        state = self._state
+        seed = self._buffer
+        if state is None:
+            return seed
+        inserted, evicted, resident = state["ins0"], state["ev0"], state["bn0"]
+        # Population only moves by inserts (+1), evictions (-1) and hits
+        # (-1), so the hit tally falls out without a per-miss counter.
+        hits = (
+            seed.hits
+            + (inserted - seed.inserted)
+            - (evicted - seed.evicted_unused)
+            - (resident - len(seed.pages))
+        )
+        return BufferSnapshot(
+            capacity=self.capacity,
+            hits=hits,
+            lookups=seed.lookups + self._advanced,
+            inserted=inserted,
+            refreshed=state["rf0"],
+            evicted_unused=evicted,
+            pages=list(state["buf0"]),
+        )
+
+
+def replay_live(
+    miss_trace: MissTrace,
+    prefetcher: Prefetcher,
+    buffer_entries: int = 16,
+    max_prefetches_per_miss: int = 0,
+) -> "PrefetchRunStats":
+    """Compiled equivalent of :func:`~repro.sim.two_phase.replay_prefetcher`.
+
+    Trains ``prefetcher`` exactly as the reference engine would: the
+    instance's state (warm or fresh) seeds a :class:`LiveSlot`, and the
+    final state is restored back into it, so canonical snapshots of the
+    instance agree between engines after any sequence of replays.
+    Raises :class:`~repro.errors.ConfigurationError` when the mechanism
+    has no compiled loop.
+    """
+    slot = LiveSlot(miss_trace, prefetcher, buffer_entries, max_prefetches_per_miss)
+    issued_before = prefetcher.prefetches_issued
+    overhead_before = prefetcher.overhead_ops_total
+    slot.run(0, len(miss_trace))
+    slot.write_back()
+    pb_hits, issued, inserted, refreshed, evicted, overhead = slot.totals()
+    return _make_stats(
+        miss_trace,
+        prefetcher.label,
+        (
+            pb_hits, issued - issued_before, inserted, refreshed, evicted,
+            overhead - overhead_before,
+        ),
     )

@@ -1,30 +1,27 @@
-"""Replay-engine selection: reference semantics or the fast path.
+"""Replay-engine selection: the reference loop or the compiled engine.
 
-Two engines can replay a mechanism over a TLB miss stream:
+Two engines replay a mechanism over a TLB miss stream:
 
 - ``"reference"`` — :func:`repro.sim.two_phase.replay_prefetcher`,
   driving live :class:`~repro.prefetch.base.Prefetcher` /
   :class:`~repro.tlb.prefetch_buffer.PrefetchBuffer` objects. This is
   the authoritative engine: the paper's numbers come from it.
-- ``"fast"`` — :func:`repro.sim.fastpath.replay_fast`, the specialized
-  flat-array loops, bit-identical by contract (and by the
-  ``tests/differential/`` harness) but several times faster.
-- ``"batch"`` — :func:`repro.sim.batchpath.replay_batch`, the one-pass
-  multi-config loop. It amortizes the stream scan across *many* specs,
-  so it only pays off at the :class:`~repro.run.runner.Runner` level:
-  the runner groups a batch by stream key and replays each group of
-  compatible fresh specs in a single pass. For a *single* replay (this
-  module's :func:`replay`) there is nothing to amortize, so
-  ``engine="batch"`` resolves to the fast engine here — same bits,
-  and warm (trained) instances keep their snapshot warm-start.
+- the compiled engine (:mod:`repro.sim.batchpath`) — generated loops,
+  bit-identical by contract (and by the ``tests/differential/``
+  harness) but many times faster. A :class:`~repro.run.runner.Runner`
+  replays each stream's fresh specs in one pass
+  (:func:`~repro.sim.batchpath.replay_batch`); a single replay of a
+  given instance (this module's :func:`replay`) seeds a live slot from
+  the instance's snapshot and writes the final state back
+  (:func:`~repro.sim.batchpath.replay_live`), so warm (trained)
+  instances replay compiled too.
 
-``"auto"`` picks the fast engine whenever the mechanism has a fast
-loop. Warm-started (trained) instances take the fast path too: the
-fast engine seeds its tables from a canonical snapshot of the instance
-and writes the final state back (:mod:`repro.ckpt`), so the engines
-agree on statistics *and* side effects. Only mechanisms without a fast
-loop — e.g. user-defined subclasses — fall back to the reference
-engine, so ``auto`` is always correct to request.
+The accepted ``engine`` names are ``"auto"``, ``"reference"``,
+``"fast"`` and ``"batch"``; ``"fast"`` and ``"batch"`` both force the
+compiled engine. ``"auto"`` picks it whenever the mechanism has a
+compiled loop and falls back to the reference engine only for
+mechanisms without one — e.g. user-defined subclasses — so ``auto`` is
+always correct to request.
 """
 
 from __future__ import annotations
@@ -32,13 +29,16 @@ from __future__ import annotations
 from repro.errors import ConfigurationError
 from repro.mem.trace import MissTrace
 from repro.prefetch.base import Prefetcher
-from repro.sim import fastpath
+from repro.sim import batchpath
 from repro.sim.stats import PrefetchRunStats
 from repro.sim.two_phase import replay_prefetcher
 
 #: Engine names accepted everywhere an ``engine`` knob appears
 #: (``RunSpec``, ``Runner``, ``evaluate``, ``simulate``, the CLI).
 ENGINES: tuple[str, ...] = ("auto", "reference", "fast", "batch")
+
+#: What :func:`resolve_engine` reports for the compiled engine.
+COMPILED = "compiled"
 
 
 def validate_engine(engine: str) -> str:
@@ -50,47 +50,24 @@ def validate_engine(engine: str) -> str:
     return engine
 
 
-def fast_available(prefetcher: Prefetcher) -> bool:
-    """True when ``engine="fast"`` can replay this mechanism at all."""
-    return fastpath.supports(prefetcher)
-
-
-def batch_available(prefetcher: Prefetcher) -> bool:
-    """True when the batch engine can include this *fresh* instance.
-
-    The batch loop advances throwaway tables built from specs; it has
-    no warm-start path, so trained instances (and mechanisms without a
-    batch loop) are replayed per-spec instead — the
-    :class:`~repro.run.runner.Runner` applies exactly this predicate
-    when it forms one-pass groups.
-    """
-    from repro.sim import batchpath
-
-    return batchpath.supports(prefetcher) and not prefetcher.has_prediction_state()
-
-
-def fast_preferred(prefetcher: Prefetcher) -> bool:
-    """True when ``engine="auto"`` would pick the fast engine.
-
-    ``auto`` falls back to the reference engine only for mechanisms
-    without a fast loop (e.g. user-defined subclasses); trained state
-    no longer matters — the fast engine warm-starts from a snapshot of
-    the instance and trains it exactly as the reference engine would.
-    """
-    return fastpath.supports(prefetcher)
-
-
 def resolve_engine(prefetcher: Prefetcher, engine: str = "auto") -> str:
-    """The concrete engine (``reference`` or ``fast``) a replay will use.
+    """The engine a replay will use: ``"reference"`` or :data:`COMPILED`.
 
-    ``"batch"`` is a *runner-level* engine: for a single replay it
-    resolves like ``"auto"`` (the batch loop needs multiple specs to
-    amortize anything, and the fast engine is bit-identical).
+    ``"fast"`` and ``"batch"`` force the compiled engine and raise
+    :class:`~repro.errors.ConfigurationError` for a mechanism without
+    a compiled loop; ``"auto"`` falls back to the reference engine.
     """
     validate_engine(engine)
-    if engine in ("auto", "batch"):
-        return "fast" if fast_preferred(prefetcher) else "reference"
-    return engine
+    if engine == "reference":
+        return "reference"
+    if batchpath.supports(prefetcher):
+        return COMPILED
+    if engine == "auto":
+        return "reference"
+    raise ConfigurationError(
+        f"compiled engine has no replay loop for {type(prefetcher).__name__}; "
+        "use engine='reference' or 'auto'"
+    )
 
 
 def replay(
@@ -107,14 +84,12 @@ def replay(
     sequence of replays leaves the instance with the same canonical
     snapshot regardless of which engine ran each one.
     """
-    if resolve_engine(prefetcher, engine) == "fast":
-        return fastpath.replay_fast(
-            miss_trace,
-            prefetcher,
-            buffer_entries=buffer_entries,
-            max_prefetches_per_miss=max_prefetches_per_miss,
-        )
-    return replay_prefetcher(
+    run = (
+        batchpath.replay_live
+        if resolve_engine(prefetcher, engine) == COMPILED
+        else replay_prefetcher
+    )
+    return run(
         miss_trace,
         prefetcher,
         buffer_entries=buffer_entries,

@@ -41,7 +41,7 @@ def simulate(
     window follows a fast-forward period.
 
     ``engine="reference"`` (the default) drives the online MMU loop
-    below. ``"fast"``/``"auto"`` route through the two-phase path with
+    below. Every other engine routes through the two-phase path with
     the selected replay engine (:mod:`repro.sim.engine`) — bit-identical
     statistics, dramatically less work.
     """

@@ -75,28 +75,41 @@ def replay_prefetcher(
     prefetcher: Prefetcher,
     buffer_entries: int = 16,
     max_prefetches_per_miss: int = 0,
+    start: int = 0,
+    stop: int | None = None,
+    buffer: PrefetchBuffer | None = None,
 ) -> PrefetchRunStats:
     """Phase 2: run one mechanism over a recorded miss stream.
 
     Semantically identical to the online pipeline: for each miss, probe
     the buffer (removing on hit), inform the mechanism, insert its
     prefetches.
+
+    ``start``/``stop`` replay only entries ``[start, stop)`` (``index``
+    stays the global stream position, so the warm-up boundary lands
+    identically under any chunking), and ``buffer`` continues a
+    caller-owned buffer instead of a fresh one of ``buffer_entries``.
+    The statistics then cover this call's entries only.
     """
-    buffer = PrefetchBuffer(buffer_entries)
+    if buffer is None:
+        buffer = PrefetchBuffer(buffer_entries)
     pcs, pages, evicted = miss_trace.as_lists()
     warmup = miss_trace.warmup_misses
 
-    # Mechanism counters are cumulative over the instance's lifetime;
-    # snapshot them so a reused (pre-trained) instance reports only
-    # this run's activity instead of inflating it with earlier runs'.
+    # Mechanism and buffer counters are cumulative over the objects'
+    # lifetimes; snapshot them so reused (pre-trained) objects report
+    # only this run's activity instead of inflating it with earlier runs'.
     issued_before = prefetcher.prefetches_issued
     overhead_before = prefetcher.overhead_ops_total
+    inserted_before = buffer.inserted
+    refreshed_before = buffer.refreshed
+    evicted_before = buffer.evicted_unused
 
     pb_hits_measured = 0
     lookup_remove = buffer.lookup_remove
     insert = buffer.insert
     on_miss = prefetcher.on_miss
-    for index, page in enumerate(pages):
+    for index, page in enumerate(pages[start:stop], start):
         pb_hit = lookup_remove(page)
         if pb_hit and index >= warmup:
             pb_hits_measured += 1
@@ -115,12 +128,12 @@ def replay_prefetcher(
         measured_misses=miss_trace.measured_misses,
         pb_hits=pb_hits_measured,
         prefetches_issued=prefetcher.prefetches_issued - issued_before,
-        buffer_inserted=buffer.inserted,
-        buffer_refreshed=buffer.refreshed,
-        buffer_evicted_unused=buffer.evicted_unused,
+        buffer_inserted=buffer.inserted - inserted_before,
+        buffer_refreshed=buffer.refreshed - refreshed_before,
+        buffer_evicted_unused=buffer.evicted_unused - evicted_before,
         overhead_memory_ops=prefetcher.overhead_ops_total - overhead_before,
         # A prefetch already buffered is coalesced, costing no new fetch.
-        prefetch_fetch_ops=buffer.inserted,
+        prefetch_fetch_ops=buffer.inserted - inserted_before,
     )
 
 
@@ -133,9 +146,9 @@ def evaluate(
     """Convenience wrapper: filter then replay under one config.
 
     ``engine`` selects the replay implementation (see
-    :mod:`repro.sim.engine`): ``"reference"`` (default), ``"fast"``
-    (specialized loops) or ``"auto"``. All engines return bit-identical
-    statistics and train the given instance identically.
+    :mod:`repro.sim.engine`): ``"reference"`` (default), the compiled
+    engine (``"fast"``/``"batch"``) or ``"auto"``. Both engines return
+    bit-identical statistics and train the given instance identically.
     """
     config = config or SimulationConfig()
     miss_trace = filter_tlb(trace, config.tlb, config.warmup_fraction)

@@ -5,15 +5,16 @@
 counter and every ``extra`` annotation — must compare equal field for
 field, and whole :class:`~repro.run.results.ResultSet` batches must
 serialize to identical JSON. Tolerances would defeat the point: the
-fast and batch engines are only trustworthy if they *are* the
-reference engine, observationally.
+compiled engine is only trustworthy if it *is* the reference engine,
+observationally.
 
-Every check covers three engines: the reference loop, the per-spec
-fast path, and the one-pass batch engine (``engine="batch"`` forces
-the fused loop through :class:`~repro.run.Runner` even for a single
-spec; the direct-trace checks call
-:func:`repro.sim.batchpath.replay_batch` with a duplicated request so
-the equivalence-class deduplication is exercised too).
+Every check compares the two engines: the reference loop and the
+compiled engine, through both of its entry points — the one-pass
+:func:`~repro.sim.batchpath.replay_batch` a :class:`~repro.run.Runner`
+uses for fresh specs (the direct-trace checks send it a duplicated
+request so the equivalence-class deduplication is exercised too), and
+the live slot :func:`~repro.sim.batchpath.replay_live` behind
+``engine.replay``, which emits every table with its concrete geometry.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from dataclasses import asdict
 from repro.mem.trace import MissTrace, ReferenceTrace
 from repro.prefetch.base import Prefetcher
 from repro.run import MissStreamCache, ResultSet, Runner, RunSpec
+from repro.run.runner import annotate_stats
+from repro.sim.batchpath import replay_batch, replay_live
 from repro.sim.config import SimulationConfig
-from repro.sim.batchpath import replay_batch
-from repro.sim.fastpath import replay_fast
 from repro.sim.stats import PrefetchRunStats
 from repro.sim.two_phase import filter_tlb, replay_prefetcher
 
@@ -35,21 +36,21 @@ class EngineDivergenceError(AssertionError):
 
 
 def assert_identical(
-    reference: PrefetchRunStats, fast: PrefetchRunStats, context: str = ""
+    reference: PrefetchRunStats, compiled: PrefetchRunStats, context: str = ""
 ) -> None:
     """Raise :class:`EngineDivergenceError` unless stats match exactly."""
     ref_dict = asdict(reference)
-    fast_dict = asdict(fast)
-    if ref_dict == fast_dict:
+    compiled_dict = asdict(compiled)
+    if ref_dict == compiled_dict:
         return
     diffs = [
-        f"  {name}: reference={ref_dict[name]!r} fast={fast_dict[name]!r}"
+        f"  {name}: reference={ref_dict[name]!r} compiled={compiled_dict[name]!r}"
         for name in ref_dict
-        if ref_dict[name] != fast_dict.get(name, object())
+        if ref_dict[name] != compiled_dict.get(name, object())
     ]
     where = f" [{context}]" if context else ""
     raise EngineDivergenceError(
-        "fast engine diverged from reference engine" + where + ":\n"
+        "compiled engine diverged from reference engine" + where + ":\n"
         + "\n".join(diffs)
     )
 
@@ -67,19 +68,24 @@ class DifferentialRunner:
         self.checked = 0
 
     def run_both(self, spec: RunSpec) -> tuple[PrefetchRunStats, PrefetchRunStats]:
-        """Execute ``spec`` on the reference and the fast engine."""
+        """Execute ``spec`` on the reference and the compiled engine."""
         reference = self.runner.run_one(spec.derive(engine="reference"))
-        fast = self.runner.run_one(spec.derive(engine="fast"))
-        return reference, fast
+        compiled = self.runner.run_one(spec.derive(engine="batch"))
+        return reference, compiled
 
     def check_spec(self, spec: RunSpec) -> PrefetchRunStats:
-        """Assert all three engines agree on ``spec``; return the stats."""
-        reference, fast = self.run_both(spec)
-        assert_identical(reference, fast, context=f"spec {spec.label} {spec.key()}")
-        # engine="batch" forces the fused loop even for this singleton.
-        (batch,) = self.runner.run([spec.derive(engine="batch")])
+        """Assert both engines agree on ``spec``; return the stats."""
+        reference, compiled = self.run_both(spec)
+        context = f"spec {spec.label} {spec.key()}"
+        assert_identical(reference, compiled, context=context)
+        live = replay_live(
+            self.runner.miss_stream_for(spec),
+            spec.build_prefetcher(),
+            buffer_entries=spec.buffer_entries,
+            max_prefetches_per_miss=spec.max_prefetches_per_miss,
+        )
         assert_identical(
-            reference, batch, context=f"batch spec {spec.label} {spec.key()}"
+            reference, annotate_stats(live, spec), context=f"live {context}"
         )
         self.checked += 1
         return reference
@@ -87,20 +93,12 @@ class DifferentialRunner:
     def check_batch(self, specs: list[RunSpec]) -> ResultSet:
         """Assert whole-batch ResultSets serialize identically."""
         reference = self.runner.run([spec.derive(engine="reference") for spec in specs])
-        fast = self.runner.run([spec.derive(engine="fast") for spec in specs])
-        batch = self.runner.run([spec.derive(engine="batch") for spec in specs])
-        for ref_row, fast_row, batch_row in zip(reference, fast, batch):
-            assert_identical(ref_row, fast_row, context=ref_row.workload)
-            assert_identical(
-                ref_row, batch_row, context=f"batch {ref_row.workload}"
-            )
-        if reference.to_json() != fast.to_json():
+        compiled = self.runner.run([spec.derive(engine="batch") for spec in specs])
+        for ref_row, compiled_row in zip(reference, compiled):
+            assert_identical(ref_row, compiled_row, context=ref_row.workload)
+        if reference.to_json() != compiled.to_json():
             raise EngineDivergenceError(
                 "ResultSet JSON differs between engines despite equal rows"
-            )
-        if reference.to_json() != batch.to_json():
-            raise EngineDivergenceError(
-                "batch ResultSet JSON differs from reference despite equal rows"
             )
         self.checked += len(specs)
         return reference
@@ -133,13 +131,13 @@ class DifferentialRunner:
             buffer_entries=config.buffer_entries,
             max_prefetches_per_miss=config.max_prefetches_per_miss,
         )
-        fast = replay_fast(
+        live = replay_live(
             miss_trace,
             prefetcher_factory(),
             buffer_entries=config.buffer_entries,
             max_prefetches_per_miss=config.max_prefetches_per_miss,
         )
-        assert_identical(reference, fast, context=f"trace {miss_trace.name}")
+        assert_identical(reference, live, context=f"live trace {miss_trace.name}")
         # The same request twice in one batch: the second slot dedups
         # onto the first's simulation, and both must match reference.
         batch_rows = replay_batch(

@@ -216,7 +216,9 @@ class TestDistributedTraceAndConservation:
         while True:
             spans = client.fetch_trace(trace_id)["spans"]
             names = {s["name"] for s in spans}
-            if {"sweep", "http.request", "worker.job", "replay"} <= names:
+            # Workers claim one job at a time: each replay is a compiled
+            # pass of one spec.
+            if {"sweep", "http.request", "worker.job", "replay.batch"} <= names:
                 break
             assert time.monotonic() < deadline, f"incomplete trace: {names}"
             time.sleep(0.05)

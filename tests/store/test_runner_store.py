@@ -73,8 +73,8 @@ class TestResumableSweeps:
         assert parallel_store.stats()["result_entries"] == len(specs)
 
     def test_engines_share_store_entries(self, tmp_path):
-        """Engine is execution metadata: a run stored by the fast engine
-        is a hit for the same spec on the reference engine (and the row
+        """Engine is execution metadata: a run stored by the compiled
+        engine is a hit for the same spec on the reference engine (and the row
         is identical, by the differential-tested contract)."""
         store = ExperimentStore(tmp_path / "store")
         fast = Runner(cache=MissStreamCache(), store=store).run(sweep_specs("fast"))

@@ -1,6 +1,6 @@
 """Unit tests for replay-engine selection and threading.
 
-The bit-identity of the two engines is proven by
+The bit-identity of the reference and compiled engines is proven by
 ``tests/differential/``; these tests pin the *dispatch* contracts:
 which engine ``auto`` resolves to, how the ``engine`` knob threads
 through RunSpec / Runner / evaluate / simulate / the CLI, and the
@@ -15,8 +15,8 @@ from repro.errors import ConfigurationError
 from repro.prefetch.base import HardwareDescription, Prefetcher
 from repro.prefetch.factory import create_prefetcher
 from repro.run import MissStreamCache, Runner, RunSpec
-from repro.sim.engine import ENGINES, fast_preferred, replay, resolve_engine
-from repro.sim.fastpath import is_fresh, replay_fast, supports
+from repro.sim.batchpath import is_fresh, supports
+from repro.sim.engine import COMPILED, ENGINES, replay, resolve_engine
 from repro.sim.functional import simulate
 from repro.sim.two_phase import evaluate, replay_prefetcher
 from repro.workloads.registry import get_trace
@@ -25,7 +25,7 @@ SCALE = 0.05
 
 
 class _CustomPrefetcher(Prefetcher):
-    """A user subclass the fast engine must refuse to second-guess."""
+    """A user subclass the compiled engine must refuse to second-guess."""
 
     name = "custom"
 
@@ -56,7 +56,10 @@ class TestResolution:
     def test_auto_prefers_fast_for_fresh_builtin(self):
         for name in ("none", "SP", "SP-adaptive", "ASP", "MP", "RP",
                      "DP", "DP-PC", "DP-2"):
-            assert resolve_engine(create_prefetcher(name), "auto") == "fast"
+            assert resolve_engine(create_prefetcher(name), "auto") == COMPILED
+        for engine in ("fast", "batch"):
+            assert resolve_engine(create_prefetcher("DP"), engine) == COMPILED
+        assert resolve_engine(create_prefetcher("DP"), "reference") == "reference"
 
     def test_auto_falls_back_for_subclasses(self):
         custom = _CustomPrefetcher()
@@ -64,25 +67,24 @@ class TestResolution:
         assert resolve_engine(custom, "auto") == "reference"
 
     def test_auto_keeps_fast_for_trained_instances(self, miss_trace):
-        """Warm-start: trained state no longer forces the reference
-        engine — the fast engine restores it into its own tables."""
+        """Warm-start: trained state does not force the reference
+        engine — a compiled live slot seeds its tables from it."""
         prefetcher = create_prefetcher("DP", rows=64)
         replay_prefetcher(miss_trace, prefetcher)
         assert not is_fresh(prefetcher)
-        assert fast_preferred(prefetcher)
-        assert resolve_engine(prefetcher, "auto") == "fast"
+        assert resolve_engine(prefetcher, "auto") == COMPILED
 
     def test_history_only_state_stays_on_fast_path(self):
         """One miss leaves DP's table empty and counters at zero, but
-        its distance history is trained — the fast engine seeds that
-        history too, so auto keeps the fast path."""
+        its distance history is trained — the compiled engine seeds
+        that history too, so auto keeps it."""
         prefetcher = create_prefetcher("DP", rows=64)
         prefetcher.on_miss(0, 100, -1, False)
         assert prefetcher.prefetches_issued == 0
         assert len(prefetcher.table) == 0
         assert prefetcher.has_prediction_state()
         assert not is_fresh(prefetcher)
-        assert resolve_engine(prefetcher, "auto") == "fast"
+        assert resolve_engine(prefetcher, "auto") == COMPILED
 
     def test_flush_restores_freshness_for_on_chip_state(self):
         """flush() drops on-chip state, so a flushed mechanism is fresh
@@ -109,7 +111,7 @@ class TestResolution:
         ref_p = create_prefetcher("DP", rows=64)
         replay_prefetcher(miss_trace, fast_p)
         replay_prefetcher(miss_trace, ref_p)
-        again_fast = replay_fast(miss_trace, fast_p)
+        again_fast = replay(miss_trace, fast_p, engine="fast")
         again_ref = replay_prefetcher(miss_trace, ref_p)
         assert again_fast == again_ref
         assert (
@@ -118,15 +120,16 @@ class TestResolution:
         )
 
     def test_forced_fast_rejects_unsupported_mechanism(self, miss_trace):
-        with pytest.raises(ConfigurationError, match="no replay loop"):
-            replay_fast(miss_trace, _CustomPrefetcher())
+        for engine in ("fast", "batch"):
+            with pytest.raises(ConfigurationError, match="no replay loop"):
+                replay(miss_trace, _CustomPrefetcher(), engine=engine)
 
     def test_fast_engine_trains_the_instance_like_reference(self, miss_trace):
         from repro.ckpt import snapshot_prefetcher
 
         fast_p = create_prefetcher("DP", rows=64)
         ref_p = create_prefetcher("DP", rows=64)
-        replay_fast(miss_trace, fast_p)
+        replay(miss_trace, fast_p, engine="fast")
         replay_prefetcher(miss_trace, ref_p)
         assert fast_p.prefetches_issued == ref_p.prefetches_issued
         assert len(fast_p.table) == len(ref_p.table)

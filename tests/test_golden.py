@@ -2,10 +2,10 @@
 
 ``tests/golden/*.json`` are :meth:`ResultSet.save` outputs for the
 canonical RunSpecs below, produced by the *reference* engine. The
-tests re-run those specs — on the reference engine, the fast engine
-AND the one-pass batch engine — and fail loudly on any row that
-drifts, so an engine or mechanism change that shifts paper numbers
-cannot land silently.
+tests re-run those specs — on the reference engine and under both
+names of the compiled engine (``fast`` and ``batch``) — and fail
+loudly on any row that drifts, so an engine or mechanism change that
+shifts paper numbers cannot land silently.
 
 When a change is *supposed* to shift numbers (a modeled-behaviour fix,
 never an optimization), regenerate with::
