@@ -5,7 +5,7 @@ Times a representative batch (a handful of workloads x the full
 Figure 7 mechanism legend) through the unified :class:`repro.Runner`
 on both replay engines — the authoritative reference engine and the
 compiled engine (:mod:`repro.sim.batchpath`), which replays each
-stream's specs in one pass — once under the ``--engine`` name and once
+stream's specs in one batch — once under the ``--engine`` name and once
 as ``engine="batch"``, verifies the rows are bit-identical, and emits
 a machine-readable JSON record with the wall-clock speedups
 (``specs_per_second``, ``batch_specs_per_second``,
@@ -495,8 +495,8 @@ def main(argv: list[str] | None = None) -> int:
             results = runner.run(specs)
             elapsed = min(elapsed, time.perf_counter() - started)
 
-            # The one-pass batch engine: same specs, every stream group
-            # replayed in a single fused loop (repro.sim.batchpath). Its
+            # The batch engine: same specs, every stream group replayed
+            # in one replay_batch call (repro.sim.batchpath). Its
             # window is several times shorter than the others, so a burst
             # of scheduler noise distorts it proportionally more — take
             # three samples per repetition to keep the min estimate tight.
@@ -742,7 +742,7 @@ def main(argv: list[str] | None = None) -> int:
         print("[smoke] ERROR: engines diverged — compiled engine is not bit-identical")
         return 1
     if not batch_identical:
-        print("[smoke] ERROR: batch engine diverged — one-pass replay is not bit-identical")
+        print("[smoke] ERROR: batch engine diverged — batch replay is not bit-identical")
         return 1
     if distributed["distributed_identical"] is False:
         print("[smoke] ERROR: distributed sweep diverged from serial execution")

@@ -148,7 +148,7 @@ def _add_engine(parser: argparse.ArgumentParser) -> None:
         help=(
             "replay engine: auto (the compiled engine when the "
             "mechanism has a compiled loop; stream-sharing groups run "
-            "in one pass), reference (authoritative object-driven "
+            "as one batch), reference (authoritative object-driven "
             "replay), or fast/batch (both force the compiled engine); "
             "both engines are bit-identical"
         ),

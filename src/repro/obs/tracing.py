@@ -191,6 +191,13 @@ def trace(name: str, **attrs: Any) -> Iterator[Span]:
         COLLECTOR.record(span)
 
 
+def annotate(**attrs: Any) -> None:
+    """Add attributes to the innermost open span; a no-op outside one."""
+    span = _current_span.get()
+    if span is not None:
+        span.attrs.update(attrs)
+
+
 def current_context() -> str | None:
     """The active ``"trace_id:span_id"``, or None outside any span."""
     span = _current_span.get()

@@ -104,7 +104,7 @@ class Prefetcher(abc.ABC):
 
         Stateful subclasses override this to report *any* trained
         state — tables, history registers, adaptation counters — not
-        just statistics. The compiled engine's one-pass batch replay
+        just statistics. The compiled engine's batch replay
         (:func:`repro.sim.batchpath.replay_batch`) builds mechanism
         state from scratch, so it only accepts instances where this is
         False; trained instances replay through a live slot instead.

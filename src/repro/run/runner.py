@@ -245,8 +245,8 @@ def _run_group(specs: tuple[RunSpec, ...]) -> list[PrefetchRunStats]:
     All specs in a group share a stream key, so the group costs one
     TLB filter in this worker (already-warm caches inherited via
     ``fork`` make it free). The group goes through the same serial
-    path as in-process execution, so compiled specs take the one-pass
-    loop inside the worker too.
+    path as in-process execution, so compiled specs take the batch
+    kernel inside the worker too.
     """
     runner = Runner()
     return runner._run_serial(list(specs))

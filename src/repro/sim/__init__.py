@@ -9,10 +9,10 @@
   stream per prefetcher. Exactly equivalent to the functional path
   (property-tested) because prefetching cannot change the TLB miss
   stream.
-- :mod:`repro.sim.batchpath` — the compiled replay engine: generated
-  flat-array loops, one pass for many fresh specs or a live slot for
-  warm instances and sessions, bit-identical to the reference replay
-  (enforced by ``tests/differential/``).
+- :mod:`repro.sim.batchpath` — the compiled replay engine: a native C
+  kernel (``batchkernel.c``) for batches of fresh specs, and generated
+  live-slot loops for warm instances and sessions, bit-identical to
+  the reference replay (enforced by ``tests/differential/``).
 - :mod:`repro.sim.engine` — engine selection (``auto`` / ``reference``
   / ``fast`` / ``batch``) shared by ``RunSpec``, ``evaluate``,
   ``simulate`` and the CLI.

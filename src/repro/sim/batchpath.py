@@ -1,55 +1,57 @@
-"""The compiled replay engine: generated loops over a recorded miss stream.
+"""The compiled replay engine: a native batch kernel and generated live loops.
 
 :func:`repro.sim.two_phase.replay_prefetcher` is the *reference*
 replay: it drives live :class:`~repro.prefetch.base.Prefetcher` and
 :class:`~repro.tlb.prefetch_buffer.PrefetchBuffer` objects miss by
-miss. This module is the *compiled* replay. It generates one
-specialized Python loop per shape of work, with every per-slot
-constant (rows, ways, slots, buffer capacity, clamp, warm-up boundary,
-degrees) inlined as a literal, ``compile()``s it once and memoizes it
-by that shape. Slot state lives in flat parallel arrays for
-direct-mapped tables, per-set insertion-ordered dicts (first key =
-LRU) for other associativities, an insertion-ordered-dict prefetch
-buffer with a local population counter, and plain integer counters.
+miss. This module is the *compiled* replay, with two entry points:
 
-Two entry points share the generator:
+- :func:`replay_batch` replays N *fresh* mechanisms over one stream
+  (a sweep's many specs per stream). Every distinct request runs
+  through one hand-written C kernel, ``batchkernel.c``, called with
+  :mod:`ctypes` over numpy buffers. Geometry, slots, buffer capacity,
+  clamp and warm-up are runtime arguments, so the library is compiled
+  once per machine (``gcc -O2 -shared -fPIC``, on first use) and
+  cached under a name carrying the sha256 of its source and flags,
+  in this package's ``__pycache__`` or, when that is not writable, a
+  private per-user directory. The planner hands the kernel dense key
+  ids computed with numpy, never per-miss Python. Exact-duplicate
+  requests share one run. Without a working compiler, or for a
+  stream the kernel refuses (a page beyond +-2**60), each distinct
+  request replays through a :class:`LiveSlot` instead, with one
+  logged warning; the rows are the same.
 
-- :func:`replay_batch` replays N *fresh* mechanisms over one stream in
-  a single pass (a sweep's many specs per stream). Because no slot's
-  state is ever read back, the planner may prove slots equivalent and
-  simulate each class once:
-
-  - *Never-overflow*: if no set ever holds more distinct keys than it
-    has ways, LRU eviction can never fire, so the table behaves
-    exactly like an unbounded per-key dict, independent of geometry.
-    Such tables are emitted as one plain dict with no set indexing.
-  - *Same-partition*: two geometries that induce the same partition
-    of the key universe into sets, with equal ways, perform the same
-    set operations in the same order and are bit-identical.
-  - *Never-hits*: a key stream that never repeats a key issues no
-    prefetch for any geometry; the slot costs nothing to simulate.
-
-- :class:`LiveSlot` holds *one* mechanism and its buffer in loop form
-  across calls: it seeds from a :mod:`repro.ckpt` mechanism (and
-  buffer) snapshot, replays any entry range ``[start, stop)``, and
-  hands its state back as snapshots. Its slot is emitted with the
-  concrete geometry, since its state is read back. :func:`replay_live`
-  (warm-started single replays) and
+- :class:`LiveSlot` holds *one* mechanism and its buffer in the form
+  of a generated Python loop: the slot's constants (rows, ways,
+  slots, buffer capacity, clamp, warm-up boundary) are inlined, the
+  source is ``compile()``d once per shape and memoized. It seeds from
+  a :mod:`repro.ckpt` mechanism (and buffer) snapshot, replays any
+  entry range ``[start, stop)``, and hands its state back as
+  snapshots. :func:`replay_live` (warm-started single replays) and
   :class:`~repro.ckpt.session.ReplaySession` are built on it.
 
 The contract is **bit-identical statistics** (and, for live slots,
 canonical snapshot digests) to the reference engine, enforced by
-``tests/differential/`` (curated grid, fuzzing, warm start and
-mid-stream sessions) and the golden files. Dispatch is on exact type:
-user subclasses may override behavior the loops do not model, so they
-always take the reference engine.
+``tests/differential/`` (curated grid, fuzzing, kernel edge cases,
+warm start and mid-stream sessions, each batch case on the native
+kernel and on the forced Python fallback) and the golden files.
+Dispatch is on exact type: user subclasses may override behavior the
+loops do not model, so they always take the reference engine.
 """
 
 from __future__ import annotations
 
 import ast
+import ctypes
 import dataclasses
+import hashlib
+import logging
+import os
+import platform
+import stat
+import subprocess
+import tempfile
 import weakref
+from pathlib import Path
 
 import numpy as np
 
@@ -65,6 +67,7 @@ from repro.core.distance_pair import DistancePairPrefetcher, pack_distance_pair
 from repro.core.pc_distance import PCDistancePrefetcher, pack_pc_distance
 from repro.errors import ConfigurationError
 from repro.mem.trace import MissTrace
+from repro.obs.tracing import annotate
 from repro.prefetch.adaptive_sequential import AdaptiveSequentialPrefetcher
 from repro.prefetch.base import Prefetcher
 from repro.prefetch.markov import MarkovPrefetcher
@@ -73,7 +76,7 @@ from repro.prefetch.recency import RecencyPrefetcher
 from repro.prefetch.sequential import SequentialPrefetcher
 from repro.prefetch.stride import ArbitraryStridePrefetcher
 
-#: Families with a table whose key universe the planner can analyze.
+#: Families that keep their state in a prediction table.
 _TABLE_FAMILIES = ("stride", "markov", "distance", "pcdist", "distpair")
 
 #: Mechanism classes the compiled engine has a loop for. Dispatch is
@@ -159,147 +162,23 @@ def _plan(prefetcher: Prefetcher, cap: int, clamp: int) -> _SlotPlan:
 
 
 # ---------------------------------------------------------------------------
-# Equivalence analysis: prove table configs interchangeable on this stream.
+# Code generation: one loop per live slot shape, constants inlined,
+# slot names suffixed with the slot index 0. Templates use @K@/@CONST@
+# markers substituted with plain str.replace (no str.format — the code
+# itself is full of braces and modulo operators), and
+# @PROBE@/@INSERT:var@/@PREFETCH@ marker lines spliced with the shared
+# buffer blocks at the marker's indentation.
 # ---------------------------------------------------------------------------
 
 
-def _table_class(unique_keys: list[int], rows: int, ways: int) -> tuple:
-    """Canonical equivalence class of a ``(rows, ways)`` table on a stream.
-
-    ``unique_keys`` is the stream's key universe in first-occurrence
-    order. Returns ``("inf",)`` when no set can ever overflow (the
-    table is equivalent to an unbounded per-key dict, hence to every
-    other never-overflow geometry), else ``("assoc", ways, labels)``
-    where ``labels`` is the canonical first-occurrence numbering of the
-    key→set partition — equal labels + equal ways ⇒ identical behavior.
-    """
-    num_sets = rows // ways
-    counts: dict[int, int] = {}
-    overflow = False
-    for key in unique_keys:
-        bucket = key % num_sets
-        grown = counts.get(bucket, 0) + 1
-        if grown > ways:
-            overflow = True
-            break
-        counts[bucket] = grown
-    if not overflow:
-        return ("inf",)
-    labels: dict[int, int] = {}
-    out = []
-    for key in unique_keys:
-        bucket = key % num_sets
-        label = labels.get(bucket)
-        if label is None:
-            label = len(labels)
-            labels[bucket] = label
-        out.append(label)
-    return ("assoc", ways, tuple(out))
-
-
-class _StreamKeys:
-    """Lazily computed, memoized key universes of one miss stream."""
-
-    def __init__(self, pcs: list[int], pages: list[int]) -> None:
-        self._pcs = pcs
-        self._pages = pages
-        self._distances: list[int] | None = None
-        self._cache: dict[str, list[int]] = {}
-        self._stream_len: dict[str, int] = {}
-
-    def distances(self) -> list[int]:
-        if self._distances is None:
-            pages = self._pages
-            self._distances = [
-                pages[i] - pages[i - 1] for i in range(1, len(pages))
-            ]
-        return self._distances
-
-    def universe(self, family: str) -> list[int]:
-        cached = self._cache.get(family)
-        if cached is not None:
-            return cached
-        if family == "stride":
-            keys = self._pcs
-        elif family == "markov":
-            keys = self._pages
-        elif family == "distance":
-            keys = self.distances()
-        elif family == "pcdist":
-            pcs, pages = self._pcs, self._pages
-            keys = [
-                pack_pc_distance(pcs[i], pages[i] - pages[i - 1])
-                for i in range(1, len(pages))
-            ]
-        else:  # distpair
-            dist = self.distances()
-            keys = [
-                pack_distance_pair(dist[i - 1], dist[i])
-                for i in range(1, len(dist))
-            ]
-        unique = list(dict.fromkeys(keys))
-        self._cache[family] = unique
-        self._stream_len[family] = len(keys)
-        return unique
-
-    def never_hits(self, family: str) -> bool:
-        """True when ``family``'s key stream never repeats a key.
-
-        Every table lookup then tag-misses (a key is only ever in the
-        table once a *prior* lookup or successor update allocated it),
-        so the mechanism issues zero prefetches for *any* geometry,
-        slot count, buffer size, or clamp — all such slots collapse
-        into one all-zero class that costs nothing to simulate.
-        """
-        unique = self.universe(family)
-        return len(unique) == self._stream_len[family]
-
-
-def _sigs(plan: _SlotPlan, keys: _StreamKeys) -> tuple[tuple, tuple]:
-    """(dedup signature, emission signature) for one slot.
-
-    Slots with equal dedup signatures are bit-identical on this stream
-    and share one simulation. The emission signature is what the code
-    generator needs: for never-overflow tables the geometry collapses
-    to ``None`` (emitted as one plain dict), otherwise the class
-    representative's concrete ``(rows, ways)`` is kept.
-    """
-    if plan.family in _TABLE_FAMILIES:
-        if keys.never_hits(plan.family):
-            # No repeated key -> no tag hit -> no prefetch, ever. One
-            # zero-cost class regardless of geometry/slots/cap/clamp.
-            return ("zero",), ("zero",)
-        rows, ways = plan.config[0], plan.config[1]
-        rest = plan.config[2:]
-        tclass = _table_class(keys.universe(plan.family), rows, ways)
-        geom = None if tclass == ("inf",) else (rows, ways)
-        dedup = (plan.family, rest, tclass, plan.cap, plan.clamp)
-        emit = (plan.family, rest, geom, plan.cap, plan.clamp)
-        return dedup, emit
-    if plan.family == "none":
-        # Null never buffers or issues: every slot is one zero row.
-        return ("none",), ("none",)
-    sig = (plan.family, plan.config, plan.cap, plan.clamp)
-    return sig, sig
-
-
-# ---------------------------------------------------------------------------
-# Code generation: one fused loop, constants inlined, names mangled by
-# class index. Templates use @K@/@CONST@ markers substituted with plain
-# str.replace (no str.format — the code itself is full of braces and
-# modulo operators), and @PROBE@/@INSERT:var@/@PREFETCH@ marker lines
-# spliced with the shared buffer blocks at the marker's indentation.
-# ---------------------------------------------------------------------------
-
-
-def _probe_lines(pad: str, k: str, var: str, warmup: int) -> list[str]:
+def _probe_lines(pad: str, k: str, warmup: int) -> list[str]:
     """Buffer probe: remove on hit, count after warm-up.
 
     Buffer values are always ``None``, so one ``pop`` with a non-None
     default replaces the ``in`` + ``del`` double hash lookup.
     """
     lines = [
-        f"{pad}if bp{k}({var}, 0) is None:",
+        f"{pad}if bp{k}(page, 0) is None:",
         f"{pad}    bn{k} -= 1",
     ]
     if warmup:
@@ -343,7 +222,7 @@ def _prefetch_lines(pad: str, k: str, cap: int, clamp: int) -> list[str]:
 
 
 def _render(out: list[str], template: str, base: str, k: str, subs: dict,
-            warmup: int, cap: int, clamp: int, probe_var: str | None = None):
+            warmup: int, cap: int, clamp: int):
     """Splice a body template into ``out`` at indentation ``base``."""
     text = template.replace("@K@", k)
     for marker, value in subs.items():
@@ -354,7 +233,7 @@ def _render(out: list[str], template: str, base: str, k: str, subs: dict,
             continue
         pad = base + raw[: len(raw) - len(raw.lstrip())]
         if stripped == "@PROBE@":
-            out.extend(_probe_lines(pad, k, probe_var or "page", warmup))
+            out.extend(_probe_lines(pad, k, warmup))
         elif stripped.startswith("@INSERT:"):
             var = stripped[len("@INSERT:"):-1].replace("@K@", k)
             out.extend(_insert_lines(pad, k, var, cap))
@@ -466,10 +345,6 @@ def _successor_update(slots: int) -> str:
     return _SUCCESSOR_UPDATE.replace("@SLOTS@", str(slots))
 
 
-def _emit_none(k, plan, warmup):
-    return [], {}, "(0, 0, 0, 0, 0, 0)"
-
-
 def _mod(expr: str, n: int) -> str:
     """Row-index expression; ``&`` for power-of-two table sizes.
 
@@ -506,7 +381,7 @@ def _emit_seq(k, sig, warmup):
         out.append(f"for of{k} in range(1, {effective + 1}):")
         out.append(f"    t{k} = page + of{k}")
         out.extend(_insert_lines("    ", k, f"t{k}", cap))
-    return _counters_setup(k), {"top": out}, _result(k)
+    return _counters_setup(k), {"top": out}
 
 
 def _emit_aseq(k, sig, warmup):
@@ -535,34 +410,13 @@ def _emit_aseq(k, sig, warmup):
         clamp,
     )
     setup = _counters_setup(k) + [f"deg{k} = 1", f"wm{k} = wh{k} = 0"]
-    return setup, {"top": out}, _result(k)
-
-
-def _result(k, overhead="0"):
-    return f"(pb{k}, iss{k}, ins{k}, rf{k}, ev{k}, {overhead})"
+    return setup, {"top": out}
 
 
 def _emit_stride(k, sig, warmup):
     geom, cap, clamp = sig[2], sig[3], sig[4]
     out: list[str] = []
-    out.extend(_probe_lines("", k, "page", warmup))
-    if geom is None:
-        # Never-overflow: one plain dict pc -> [prev_page, stride, state].
-        setup = _counters_setup(k) + [f"st{k} = {{}}"]
-        out.append(f"en{k} = st{k}.get(pc)")
-        out.append(f"if en{k} is None:")
-        out.append(f"    st{k}[pc] = [page, 0, 0]")
-        out.append("else:")
-        _render(
-            out, _STRIDE_FSM, "    ", k,
-            {
-                "@PREV@": f"en{k}[0]", "@STRIDE@": f"en{k}[1]",
-                "@STATE@": f"en{k}[2]", "@SET_STATE@": f"en{k}[2]",
-                "@SET_STRIDE@": f"en{k}[1]", "@SET_PREV@": f"en{k}[0]",
-            },
-            warmup, cap, clamp,
-        )
-        return setup, {"top": out}, _result(k)
+    out.extend(_probe_lines("", k, warmup))
     rows, ways = geom
     if ways == 1:
         setup = _counters_setup(k) + [
@@ -587,7 +441,7 @@ def _emit_stride(k, sig, warmup):
             },
             warmup, cap, clamp,
         )
-        return setup, {"top": out}, _result(k)
+        return setup, {"top": out}
     num_sets = rows // ways
     if num_sets == 1:
         setup = _counters_setup(k) + [f"ts{k} = {{}}"]
@@ -612,7 +466,7 @@ def _emit_stride(k, sig, warmup):
         },
         warmup, cap, clamp,
     )
-    return setup, {"top": out}, _result(k)
+    return setup, {"top": out}
 
 
 def _emit_markov(k, sig, warmup):
@@ -623,11 +477,11 @@ def _emit_markov(k, sig, warmup):
     engine's materialize-at-predict semantics (buffer inserts never
     touch the table, so running them first is unobservable). The
     update lands in the shared ``if lp is not None and lp != page:``
-    block that :func:`_generate` emits once for every MP class.
+    block that :func:`_generate` emits around it.
     """
     (slots,), geom, cap, clamp = sig[1], sig[2], sig[3], sig[4]
     out: list[str] = []
-    out.extend(_probe_lines("", k, "page", warmup))
+    out.extend(_probe_lines("", k, warmup))
     update = _successor_update(slots).replace("@VALUE@", "page")
     upd: list[str] = []
     # Two slots (the paper's standard MP geometry) unrolls the install:
@@ -636,34 +490,6 @@ def _emit_markov(k, sig, warmup):
     # counts the full slot list, matching the reference engine).
     two = slots == 2
     second = clamp != 1
-    if geom is None:
-        setup = _counters_setup(k) + [f"mt{k} = {{}}", f"mg{k} = mt{k}.get"]
-        out.append(f"pf{k} = mg{k}(page)")
-        if two:
-            out.append(f"if pf{k} is None:")
-            out.append(f"    mt{k}[page] = []")
-            out.append(f"elif pf{k}:")
-            out.append(f"    n{k} = len(pf{k})")
-            out.append(f"    iss{k} += n{k}")
-            out.append(f"    tg{k} = pf{k}[0]")
-            out.extend(_insert_lines("    ", k, f"tg{k}", cap))
-            if second:
-                out.append(f"    if n{k} > 1:")
-                out.append(f"        tg{k} = pf{k}[1]")
-                out.extend(_insert_lines("        ", k, f"tg{k}", cap))
-        else:
-            out.append(f"if pf{k} is not None:")
-            out.append(f"    iss{k} += len(pf{k})")
-            out.append("else:")
-            out.append(f"    mt{k}[page] = []")
-            out.append(f"    pf{k} = ()")
-            out.extend(_prefetch_lines("", k, cap, clamp))
-        upd.append(f"sc{k} = mg{k}(lp)")
-        upd.append(f"if sc{k} is None:")
-        upd.append(f"    sc{k} = []")
-        upd.append(f"    mt{k}[lp] = sc{k}")
-        _render(upd, update, "", k, {}, warmup, cap, clamp)
-        return setup, {"top": out, "mp": upd}, _result(k)
     rows, ways = geom
     if ways == 1 and two:
         # Direct-mapped two-slot rows packed into parallel flat arrays
@@ -703,7 +529,7 @@ def _emit_markov(k, sig, warmup):
         upd.append(f"    mb{k}[pr{k}] = ma{k}[pr{k}]")
         upd.append(f"    ma{k}[pr{k}] = page")
         upd.append(f"    cn{k}[pr{k}] = 2")
-        return setup, {"top": out, "mp": upd}, _result(k)
+        return setup, {"top": out, "mp": upd}
     if ways == 1:
         # Direct-mapped: tags start at an unmatchable None sentinel, so
         # no separate occupancy array is consulted in the hot path.
@@ -728,7 +554,7 @@ def _emit_markov(k, sig, warmup):
         upd.append(f"    sc{k} = []")
         upd.append(f"    sl{k}[pr{k}] = sc{k}")
         _render(upd, update, "", k, {}, warmup, cap, clamp)
-        return setup, {"top": out, "mp": upd}, _result(k)
+        return setup, {"top": out, "mp": upd}
     num_sets = rows // ways
     if num_sets == 1:
         # Fully associative: one set, bound once — no per-miss indexing.
@@ -777,7 +603,7 @@ def _emit_markov(k, sig, warmup):
     upd.append(f"    sc{k} = []")
     upd.append(f"    {ps}[lp] = sc{k}")
     _render(upd, update, "", k, {}, warmup, cap, clamp)
-    return setup, {"top": out, "mp": upd}, _result(k)
+    return setup, {"top": out, "mp": upd}
 
 
 def _materialize_targets(k):
@@ -857,22 +683,6 @@ def _emit_keyed_table(k, sig, warmup, key_var, prev_var, section):
         if clamp:
             out.extend(_prefetch_lines("", k, cap, clamp))
 
-    if geom is None:
-        setup = _counters_setup(k) + [f"dt{k} = {{}}"]
-        out.append(f"row{k} = dt{k}.get({key_var})")
-        out.append(f"if row{k} is not None:")
-        out.extend(hit)
-        out.append("else:")
-        out.append(f"    dt{k}[{key_var}] = []")
-        miss_and_install()
-        out.append(f"if {prev_var} is not None:")
-        out.append(f"    sc{k} = dt{k}.get({prev_var})")
-        out.append(f"    if sc{k} is None:")
-        out.append(f"        sc{k} = []")
-        out.append(f"        dt{k}[{prev_var}] = sc{k}")
-        _render(out, update, "    ", k, {}, warmup, cap, clamp)
-        trailing_install()
-        return setup, {section: out}, _result(k)
     rows, ways = geom
     if ways == 1 and sig[0] == "distance":
         # DP direct-mapped: flat parallel arrays; tags start at an
@@ -900,7 +710,7 @@ def _emit_keyed_table(k, sig, warmup, key_var, prev_var, section):
         out.append(f"        sl{k}[pr{k}] = sc{k}")
         _render(out, update, "    ", k, {}, warmup, cap, clamp)
         trailing_install()
-        return setup, {section: out}, _result(k)
+        return setup, {section: out}
     num_sets = rows // ways
     if num_sets == 1:
         setup = _counters_setup(k) + [f"ts{k} = {{}}"]
@@ -933,42 +743,7 @@ def _emit_keyed_table(k, sig, warmup, key_var, prev_var, section):
     out.append(f"        {ps}[{prev_var}] = sc{k}")
     _render(out, update, "    ", k, {}, warmup, cap, clamp)
     trailing_install()
-    return setup, {section: out}, _result(k)
-
-
-def _emit_recency(k, sig, warmup, probe_var="rpage"):
-    (variant_three,), cap, clamp = sig[1], sig[2], sig[3]
-    out: list[str] = []
-    out.extend(_probe_lines("", k, probe_var, warmup))
-    if not clamp:
-        # No clamp: install each stack neighbor directly, in the same
-        # above-then-below(-then-third) order the list would have had.
-        out.append("if rabove != -1:")
-        out.append(f"    iss{k} += 1")
-        out.extend(_insert_lines("    ", k, "rabove", cap))
-        out.append("if rbelow != -1:")
-        out.append(f"    iss{k} += 1")
-        out.extend(_insert_lines("    ", k, "rbelow", cap))
-        if variant_three:
-            out.append("if rthird != -1:")
-            out.append(f"    iss{k} += 1")
-            out.extend(_insert_lines("    ", k, "rthird", cap))
-        return _counters_setup(k), {"rp": out}, _result(k, "rp_overhead")
-    out.append(f"pf{k} = []")
-    out.append("if rabove != -1:")
-    out.append(f"    pf{k}.append(rabove)")
-    out.append("if rbelow != -1:")
-    out.append(f"    pf{k}.append(rbelow)")
-    if variant_three:
-        out.append("if rthird != -1:")
-        out.append(f"    pf{k}.append(rthird)")
-    out.append(f"if pf{k}:")
-    out.append(f"    iss{k} += len(pf{k})")
-    out.append(f"    if len(pf{k}) > {clamp}:")
-    out.append(f"        pf{k} = pf{k}[:{clamp}]")
-    out.append(f"    for tg{k} in pf{k}:")
-    out.extend(_insert_lines("        ", k, f"tg{k}", cap))
-    return _counters_setup(k), {"rp": out}, _result(k, "rp_overhead")
+    return setup, {section: out}
 
 
 #: RP's stack step on one miss, over a live page -> [next, prev,
@@ -1032,107 +807,47 @@ if rbelow != -1:
 """
 
 
-def _emit_live_recency(k, sig, warmup):
-    """RP with its stack in the slot: a live slot's state is read back,
-    so it cannot use the per-trace precomputed neighbor streams. The
-    buffer work is :func:`_emit_recency`'s, keyed by real pages."""
+def _emit_recency(k, sig, warmup):
+    """RP: the recency stack lives in the slot (see :data:`_LIVE_STACK`)."""
     (variant_three,), cap, clamp = sig[1], sig[2], sig[3]
     template = _LIVE_STACK + (_LIVE_THIRD if variant_three else "")
     out: list[str] = []
     _render(out, template, "", k, {}, warmup, cap, clamp)
-    _, sections, _ = _emit_recency(k, sig, warmup, probe_var="page")
-    out.extend(sections["rp"])
+    out.extend(_probe_lines("", k, warmup))
+    neighbors = ("rabove", "rbelow", "rthird")[: 3 if variant_three else 2]
+    if not clamp:
+        # No clamp: install each stack neighbor directly, in the same
+        # above-then-below(-then-third) order the list would have had.
+        for name in neighbors:
+            out.append(f"if {name} != -1:")
+            out.append(f"    iss{k} += 1")
+            out.extend(_insert_lines("    ", k, name, cap))
+    else:
+        out.append(f"pf{k} = []")
+        for name in neighbors:
+            out.append(f"if {name} != -1:")
+            out.append(f"    pf{k}.append({name})")
+        out.append(f"if pf{k}:")
+        out.append(f"    iss{k} += len(pf{k})")
+        out.append(f"    if len(pf{k}) > {clamp}:")
+        out.append(f"        pf{k} = pf{k}[:{clamp}]")
+        out.append(f"    for tg{k} in pf{k}:")
+        out.extend(_insert_lines("        ", k, f"tg{k}", cap))
     setup = _counters_setup(k) + [
         f"rp{k} = {{}}",
         f"rtop{k} = -1",
         f"rov{k} = rlo{k} = 0",
     ]
-    return setup, {"top": out}, _result(k, f"rov{k}")
-
-
-def _recency_streams(
-    rp_pages: list[int], rp_evicted: list[int], rp_footprint: int
-) -> tuple[list[int], list[int], list[int], int]:
-    """Precompute the recency stack's per-miss neighbors for one trace.
-
-    The stack evolution depends only on the miss stream — never on any
-    mechanism config — so the (above, below, third) neighbors seen at
-    every miss, and the total maintenance overhead, are computed once
-    per trace and cached in its :class:`_TraceAnalysis`. Every RP
-    class then reduces to buffer work over these arrays. ``third`` is
-    pre-filtered exactly as the replay would (absent, off-stack, or
-    equal to the missing page -> -1).
-    """
-    rp_next = [-1] * rp_footprint
-    rp_prev = [-1] * rp_footprint
-    rp_on = bytearray(rp_footprint)
-    rp_top = -1
-    overhead = 0
-    above: list[int] = []
-    below: list[int] = []
-    third: list[int] = []
-    for rpage, revt in zip(rp_pages, rp_evicted):
-        if rp_on[rpage]:
-            rbelow = rp_next[rpage]
-            rabove = rp_prev[rpage]
-            if rabove != -1:
-                rp_next[rabove] = rbelow
-            else:
-                rp_top = rbelow
-            if rbelow != -1:
-                rp_prev[rbelow] = rabove
-            rp_prev[rpage] = -1
-            rp_next[rpage] = -1
-            rp_on[rpage] = 0
-            overhead += 2
-        else:
-            rbelow = -1
-            rabove = -1
-        if revt != -1:
-            if rp_on[revt]:
-                ea = rp_prev[revt]
-                eb = rp_next[revt]
-                if ea != -1:
-                    rp_next[ea] = eb
-                else:
-                    rp_top = eb
-                if eb != -1:
-                    rp_prev[eb] = ea
-            rp_next[revt] = rp_top
-            rp_prev[revt] = -1
-            rp_on[revt] = 1
-            if rp_top != -1:
-                rp_prev[rp_top] = revt
-            rp_top = revt
-            overhead += 2
-        above.append(rabove)
-        below.append(rbelow)
-        if rbelow != -1 and rp_on[rbelow]:
-            th = rp_next[rbelow]
-            if th == rpage:
-                th = -1
-        else:
-            th = -1
-        third.append(th)
-    return above, below, third, overhead
+    return setup, {"top": out}
 
 
 def _emit_class(k: str, sig: tuple, warmup: int):
     family = sig[0]
-    if family == "zero":
-        # A provably hit-free table mechanism: no per-miss work at all.
-        return [], {}, "(0, 0, 0, 0, 0, 0)"
     if family == "none":
-        return _emit_none(k, sig, warmup)
-    if family == "none-live":
         # A live Null slot still drains a seeded buffer on hits.
-        return (
-            _counters_setup(k),
-            {"top": _probe_lines("", k, "page", warmup)},
-            _result(k),
-        )
-    if family == "rp-live":
-        return _emit_live_recency(k, sig, warmup)
+        return _counters_setup(k), {"top": _probe_lines("", k, warmup)}
+    if family == "recency":
+        return _emit_recency(k, sig, warmup)
     if family == "seq":
         return _emit_seq(k, sig, warmup)
     if family == "aseq":
@@ -1142,26 +857,17 @@ def _emit_class(k: str, sig: tuple, warmup: int):
     if family == "markov":
         return _emit_markov(k, sig, warmup)
     if family == "distance":
-        setup, sections, result = _emit_keyed_table(
-            k, sig, warmup, "distance", "pd", "dp"
-        )
+        setup, sections = _emit_keyed_table(k, sig, warmup, "distance", "pd", "dp")
     elif family == "pcdist":
-        setup, sections, result = _emit_keyed_table(
-            k, sig, warmup, "kpc", "pkc", "dp"
-        )
+        setup, sections = _emit_keyed_table(k, sig, warmup, "kpc", "pkc", "dp")
     elif family == "distpair":
-        setup, sections, result = _emit_keyed_table(
-            k, sig, warmup, "dpk", "pk2", "dp2"
-        )
-    elif family == "recency":
-        return _emit_recency(k, sig, warmup)
+        setup, sections = _emit_keyed_table(k, sig, warmup, "dpk", "pk2", "dp2")
     else:  # pragma: no cover - _plan vets families
-        raise ConfigurationError(f"unknown batch family {family!r}")
+        raise ConfigurationError(f"unknown compiled family {family!r}")
     # DP-family bodies probe the buffer on every miss (top level) and
     # run their table logic only once a distance (pair) exists.
-    probe = _probe_lines("", k, "page", warmup)
-    sections["top"] = probe
-    return setup, sections, result
+    sections["top"] = _probe_lines("", k, warmup)
+    return setup, sections
 
 
 def _state_names(lines: list[str]) -> tuple[list[str], list[str]]:
@@ -1181,192 +887,93 @@ def _state_names(lines: list[str]) -> tuple[list[str], list[str]]:
     return names, derived
 
 
-def _generate(
-    warmup: int, emit_sigs: tuple[tuple, ...], live: bool = False
-) -> str:
-    """Source of the fused loop for one batch shape.
+def _generate(warmup: int, sig: tuple) -> str:
+    """Source of the live loop for one slot shape.
 
-    A ``live`` shape differs only around the per-miss body: an
-    ``_init()`` builds the slot state as a dict, and the loop loads it
-    from that dict, replays ``[start, stop)`` and stores it back.
+    ``_init()`` builds the slot state as a dict; ``_batch`` loads it,
+    replays entries ``[start, stop)`` and stores it back.
     """
-    setups: list[str] = []
-    tops: list[str] = []
-    mps: list[str] = []
-    dps: list[str] = []
-    dp2s: list[str] = []
-    rps: list[str] = []
-    results: list[str] = []
-    need_pc = need_lp = need_dist = need_pd = False
-    need_kpc = need_dpk = need_rp = need_rp3 = False
-    for index, sig in enumerate(emit_sigs):
-        family = sig[0]
-        if family in ("stride", "pcdist"):
-            need_pc = True
-        if family in ("markov", "distance", "pcdist", "distpair"):
-            need_lp = need_dist = True
-        if family in ("distance", "distpair"):
-            need_pd = True
-        if family == "pcdist":
-            need_kpc = True
-        if family == "distpair":
-            need_dpk = True
-        if family == "recency":
-            need_rp = True
-            if sig[1][0]:
-                need_rp3 = True
-        setup, sections, result = _emit_class(str(index), sig, warmup)
-        setups.extend(setup)
-        tops.extend(sections.get("top", ()))
-        mps.extend(sections.get("mp", ()))
-        dps.extend(sections.get("dp", ()))
-        dp2s.extend(sections.get("dp2", ()))
-        rps.extend(sections.get("rp", ()))
-        results.append(result)
-
-    inits = list(setups)
-    if need_lp:
+    family = sig[0]
+    setup, sections = _emit_class("0", sig, warmup)
+    inits = list(setup)
+    history = family in ("markov", "distance", "pcdist", "distpair")
+    if history:
         inits.append("last_page = None")
-    if need_pd:
+    if family in ("distance", "distpair"):
         inits.append("last_dist = None")
-    if need_kpc:
+    if family == "pcdist":
         inits.append("last_kpc = None")
-    if need_dpk:
+    if family == "distpair":
         inits.append("last_dpk = None")
+    state, derived = _state_names(inits)
     pad = "    "
-    if live:
-        state, derived = _state_names(inits)
-        lines = ["def _init():"]
-        lines.extend(pad + line for line in inits)
-        lines.append(
-            pad + "return {" + ", ".join(f"{n!r}: {n}" for n in state) + "}"
-        )
-        lines.append("")
-        lines.append("def _batch(pcs, pages, evicted, start, stop, S,")
-    else:
-        lines = [
-            "def _batch(pcs, pages, rp_pages, rp_above, rp_below, "
-            "rp_third, rp_overhead,",
-        ]
+    lines = ["def _init():"]
+    lines.extend(pad + line for line in inits)
+    lines.append(pad + "return {" + ", ".join(f"{n!r}: {n}" for n in state) + "}")
+    lines.append("")
     # Hot-loop names bound as defaults: LOAD_FAST instead of
     # LOAD_GLOBAL for every builtin/table-helper call per miss.
     lines += [
+        "def _batch(pcs, pages, evicted, start, stop, S,",
         "           len=len, next=next, iter=iter, min=min, max=max,",
         "           pack_pc_distance=pack_pc_distance,",
         "           pack_distance_pair=pack_distance_pair):",
     ]
-    if live:
-        lines.extend(f"{pad}{name} = S[{name!r}]" for name in state)
-        lines.extend(pad + line for line in derived)
-    else:
-        lines.extend(pad + line for line in inits)
+    lines.extend(f"{pad}{name} = S[{name!r}]" for name in state)
+    lines.extend(pad + line for line in derived)
     loop: list[str] = []
-    if need_lp:
+    if history:
         loop.append("lp = last_page")
         loop.append("last_page = page")
-    if warmup or live:
-        # Probes test `index >= warmup` (and a live loop indexes the
-        # global stream position), so the loop must enumerate.
-        if need_pc:
-            loop.append("pc = pcs[index]")
-        if need_rp:
-            loop.append("rpage = rp_pages[index]")
-            loop.append("rabove = rp_above[index]")
-            loop.append("rbelow = rp_below[index]")
-            if need_rp3:
-                loop.append("rthird = rp_third[index]")
-    loop.extend(tops)
-    if mps:
-        # One shared guard for every MP class's successor update (the
-        # self-successor rule: a page is never its own successor).
+    if family in ("stride", "pcdist"):
+        loop.append("pc = pcs[index]")
+    loop.extend(sections["top"])
+    if "mp" in sections:
+        # The self-successor rule: a page is never its own successor.
         loop.append("if lp is not None and lp != page:")
-        for line in mps:
-            loop.append(pad + line)
-    if need_dist and (dps or dp2s):
+        loop.extend(pad + line for line in sections["mp"])
+    if "dp" in sections or "dp2" in sections:
         loop.append("if lp is not None:")
         loop.append(pad + "distance = page - lp")
-        if need_pd:
+        if family in ("distance", "distpair"):
             loop.append(pad + "pd = last_dist")
             loop.append(pad + "last_dist = distance")
-        if need_kpc:
+        if family == "pcdist":
             loop.append(pad + "kpc = pack_pc_distance(pc, distance)")
             loop.append(pad + "pkc = last_kpc")
             loop.append(pad + "last_kpc = kpc")
-        for line in dps:
-            loop.append(pad + line)
-        if need_dpk and dp2s:
+        loop.extend(pad + line for line in sections.get("dp", ()))
+        if family == "distpair":
             loop.append(pad + "if pd is not None:")
             loop.append(pad + pad + "dpk = pack_distance_pair(pd, distance)")
             loop.append(pad + pad + "pk2 = last_dpk")
             loop.append(pad + pad + "last_dpk = dpk")
-            for line in dp2s:
-                loop.append(pad + pad + line)
-    if need_rp:
-        loop.extend(rps)
-    if loop:
-        # An all-Null batch has no per-miss work at all — skip the loop.
-        # Without a warm-up window nothing reads `index`: zip exactly
-        # the arrays the bodies touch instead of enumerating.
-        if live:
-            lines.append(
-                pad + "for index, page in enumerate(pages[start:stop], start):"
-            )
-        elif warmup:
-            lines.append(pad + "for index, page in enumerate(pages):")
-        else:
-            names, iters = ["page"], ["pages"]
-            if need_pc:
-                names.append("pc")
-                iters.append("pcs")
-            if need_rp:
-                names += ["rpage", "rabove", "rbelow"]
-                iters += ["rp_pages", "rp_above", "rp_below"]
-                if need_rp3:
-                    names.append("rthird")
-                    iters.append("rp_third")
-            if len(iters) == 1:
-                lines.append(pad + "for page in pages:")
-            else:
-                lines.append(
-                    pad + "for " + ", ".join(names)
-                    + " in zip(" + ", ".join(iters) + "):"
-                )
-        body = pad + pad
-        for line in loop:
-            lines.append(body + line)
-    if live:
-        lines.extend(f"{pad}S[{name!r}] = {name}" for name in state)
-        return "\n".join(lines) + "\n"
-    lines.append(pad + "return [")
-    for result in results:
-        lines.append(pad + pad + result + ",")
-    lines.append(pad + "]")
+            loop.extend(pad + pad + line for line in sections["dp2"])
+    lines.append(pad + "for index, page in enumerate(pages[start:stop], start):")
+    lines.extend(pad + pad + line for line in loop)
+    lines.extend(f"{pad}S[{name!r}] = {name}" for name in state)
     return "\n".join(lines) + "\n"
 
 
-#: Compiled fused loops memoized by (warmup, emission signatures,
-#: live) — a sweep's streams typically share one shape, so codegen
-#: runs once.
+#: Live loops memoized by ``(warmup, slot signature)`` as ``(init,
+#: loop)`` pairs, and the native kernel's entry point under
+#: :data:`_KERNEL_KEY`. Emptied, the next call compiles and loads
+#: again as a fresh process would.
 _CODE_CACHE: dict[tuple, object] = {}
 
-#: Source of the most recently generated loop (debugging/tests).
-_LAST_SOURCE: str | None = None
 
-
-def _compiled(warmup: int, emit_sigs: tuple[tuple, ...], live: bool = False):
-    """The compiled loop for a shape; ``(init, loop)`` when ``live``."""
-    global _LAST_SOURCE
-    key = (warmup, emit_sigs, live)
+def _compiled(warmup: int, sig: tuple):
+    """The compiled ``(init, loop)`` pair for a live slot shape."""
+    key = (warmup, sig)
     fn = _CODE_CACHE.get(key)
     if fn is None:
-        source = _generate(warmup, emit_sigs, live)
-        _LAST_SOURCE = source
+        source = _generate(warmup, sig)
         namespace = {
             "pack_pc_distance": pack_pc_distance,
             "pack_distance_pair": pack_distance_pair,
         }
         exec(compile(source, "<repro.sim.batchpath>", "exec"), namespace)
-        fn = (namespace["_init"], namespace["_batch"]) if live else namespace["_batch"]
+        fn = (namespace["_init"], namespace["_batch"])
         if len(_CODE_CACHE) >= 256:
             _CODE_CACHE.clear()
         _CODE_CACHE[key] = fn
@@ -1374,26 +981,220 @@ def _compiled(warmup: int, emit_sigs: tuple[tuple, ...], live: bool = False):
 
 
 # ---------------------------------------------------------------------------
-# Public entry point.
+# The native kernel: built once per machine, loaded on first use.
 # ---------------------------------------------------------------------------
+
+#: The kernel's C source.
+_KERNEL_SOURCE = Path(__file__).with_name("batchkernel.c")
+
+#: Compiler command; the output and source paths follow it.
+_COMPILE = ("gcc", "-O2", "-shared", "-fPIC")
+
+#: Preferred home of built kernels: beside this package's bytecode.
+_PYCACHE = Path(__file__).with_name("__pycache__")
+
+#: :data:`_CODE_CACHE` key of the kernel's entry point (None when no
+#: compiler works).
+_KERNEL_KEY = ("native-kernel",)
+
+_LOG = logging.getLogger(__name__)
+
+
+def _kernel_dir() -> Path:
+    """Where built kernels live: ``__pycache__`` beside this module,
+    else a private (0700, owned, not a symlink) per-user directory."""
+    try:
+        _PYCACHE.mkdir(exist_ok=True)
+        if os.access(_PYCACHE, os.W_OK | os.X_OK):
+            return _PYCACHE
+    except OSError:
+        pass
+    private = Path(tempfile.gettempdir()) / f"repro-tlb-{os.getuid()}"
+    private.mkdir(mode=0o700, exist_ok=True)
+    info = os.lstat(private)
+    if (
+        not stat.S_ISDIR(info.st_mode)
+        or info.st_uid != os.getuid()
+        or info.st_mode & 0o077
+    ):
+        raise OSError(f"{private} is not a private directory")
+    return private
+
+
+def _bind(path: Path):
+    """The ``bk_replay`` entry point of the library at ``path``."""
+    kernel = ctypes.CDLL(str(path)).bk_replay
+    kernel.restype = ctypes.c_int
+    kernel.argtypes = (
+        ctypes.c_void_p, ctypes.c_double, ctypes.c_double,
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p,
+        ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
+        ctypes.c_void_p, ctypes.c_void_p, ctypes.c_void_p,
+    )
+    return kernel
+
+
+def _intact(path: Path) -> bool:
+    """True when the library ends with the sha256 of the rest of it.
+
+    A truncated ELF file can still ``dlopen`` and then fault when a
+    missing page is touched, so a cached library is checked first.
+    """
+    data = path.read_bytes()
+    return hashlib.sha256(data[:-32]).digest() == data[-32:]
+
+
+def _load_kernel():
+    """Load the cached kernel library, building it first if needed.
+
+    The name carries the sha256 of the source, the compiler command
+    and the machine type; the file carries the sha256 of its own
+    contents (appended after the build, which loaders ignore). A build
+    compiles to a temporary file in the same directory, loads it, and
+    only then renames it into place, so concurrent builders each load
+    a complete library, and a damaged cache entry is rebuilt, never
+    loaded.
+    """
+    source = _KERNEL_SOURCE.read_bytes()
+    stamp = "\0".join((*_COMPILE, platform.machine())).encode()
+    digest = hashlib.sha256(source + b"\0" + stamp).hexdigest()[:24]
+    directory = _kernel_dir()
+    path = directory / f"batchkernel-{digest}.so"
+    try:
+        if _intact(path):
+            return _bind(path)
+    except (OSError, AttributeError):
+        pass
+    handle, scratch = tempfile.mkstemp(prefix=".batchkernel-", suffix=".so", dir=directory)
+    os.close(handle)
+    try:
+        subprocess.run(
+            [*_COMPILE, "-o", scratch, str(_KERNEL_SOURCE)],
+            check=True, capture_output=True, timeout=300,
+        )
+        with open(scratch, "r+b") as library:
+            library.write(hashlib.sha256(library.read()).digest())
+        kernel = _bind(Path(scratch))
+        os.replace(scratch, path)
+    finally:
+        if os.path.exists(scratch):
+            os.unlink(scratch)
+    return kernel
+
+
+def _native_kernel():
+    """The kernel's entry point, or None when it cannot be built.
+
+    Memoized in :data:`_CODE_CACHE`, so a process builds or loads the
+    library at most once per cache lifetime and warns at most once.
+    """
+    if _KERNEL_KEY not in _CODE_CACHE:
+        try:
+            kernel = _load_kernel()
+        except (OSError, subprocess.SubprocessError, AttributeError) as exc:
+            _LOG.warning(
+                "native batch kernel unavailable (%s); fresh batch "
+                "replays run as Python live slots", exc,
+            )
+            kernel = None
+        _CODE_CACHE[_KERNEL_KEY] = kernel
+    return _CODE_CACHE[_KERNEL_KEY]
+
+
+# ---------------------------------------------------------------------------
+# Planning: dense key ids and set indices for the kernel, with numpy.
+# ---------------------------------------------------------------------------
+
+#: The kernel's family codes (``batchkernel.c``).
+_FAMILY_CODES = {
+    "none": 0, "seq": 1, "aseq": 2, "stride": 3, "markov": 4,
+    "distance": 5, "pcdist": 6, "distpair": 7, "recency": 8,
+}
+
+
+def _packed_ids(first: np.ndarray, second: np.ndarray, pack) -> tuple:
+    """``(unique keys, ids)`` of ``pack(first[i], second[i])``.
+
+    Packed keys can be wider than 64 bits, so they are built as Python
+    ints over the distinct pairs only, then gathered back.
+    """
+    pairs, pair_ids = np.unique(
+        np.stack([first, second], axis=1), axis=0, return_inverse=True
+    )
+    packed = np.array([pack(x, y) for x, y in pairs.tolist()], dtype=object)
+    keys, key_ids = np.unique(packed, return_inverse=True)
+    return keys, key_ids[pair_ids.reshape(-1)]
 
 
 class _TraceAnalysis:
-    """Per-trace batch analysis, computed once and reused across calls."""
+    """Per-stream kernel inputs, computed once and reused across calls."""
 
-    __slots__ = ("keys", "rp", "sigs")
+    __slots__ = ("pages", "pcs", "evicted", "keys", "sets", "rp")
 
-    def __init__(self) -> None:
-        self.keys: _StreamKeys | None = None
-        # (rp_pages, above, below, third, overhead): the dense page
-        # ids plus the precomputed recency-stack neighbor streams.
-        self.rp: (
-            tuple[list[int], list[int], list[int], list[int], int] | None
-        ) = None
-        # (family, config, cap, clamp) -> (dedup_sig, emit_sig); the
-        # equivalence analysis is a pure function of the trace and
-        # those four plan fields, so repeat batches skip it entirely.
-        self.sigs: dict[tuple, tuple[tuple, tuple]] = {}
+    def __init__(self, miss_trace: MissTrace) -> None:
+        self.pages = np.ascontiguousarray(miss_trace.pages, dtype=np.int64)
+        self.pcs = np.asarray(miss_trace.pcs, dtype=np.int64)
+        self.evicted = np.asarray(miss_trace.evicted, dtype=np.int64)
+        self.keys: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        self.sets: dict[tuple[str, int], np.ndarray] = {}
+        self.rp: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
+
+    def family_keys(self, family: str) -> tuple[np.ndarray, np.ndarray]:
+        """``(unique keys, per-miss key ids)`` of a table family.
+
+        A miss with no key yet (DP's first miss, DP-2's first two) has
+        id -1.
+        """
+        cached = self.keys.get(family)
+        if cached is not None:
+            return cached
+        pages = self.pages
+        lead = 0
+        if family == "stride":
+            keys, ids = np.unique(self.pcs, return_inverse=True)
+        elif family == "markov":
+            keys, ids = np.unique(pages, return_inverse=True)
+        else:
+            distances = np.diff(pages)
+            lead = 1
+            if family == "distance":
+                keys, ids = np.unique(distances, return_inverse=True)
+            elif family == "pcdist":
+                keys, ids = _packed_ids(self.pcs[1:], distances, pack_pc_distance)
+            else:  # distpair
+                lead = 2
+                keys, ids = _packed_ids(
+                    distances[:-1], distances[1:], pack_distance_pair
+                )
+        full = np.full(len(pages), -1, dtype=np.int32)
+        full[lead:] = ids.reshape(-1)
+        self.keys[family] = (keys, full)
+        return keys, full
+
+    def set_index(self, family: str, num_sets: int) -> np.ndarray:
+        """Set of every unique key of ``family`` in a ``num_sets`` table."""
+        cached = self.sets.get((family, num_sets))
+        if cached is None:
+            keys = self.family_keys(family)[0]
+            # Python's (and numpy's) non-negative modulo, as the table's.
+            cached = (keys % num_sets).astype(np.int32)
+            self.sets[(family, num_sets)] = cached
+        return cached
+
+    def recency(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """RP's ``(universe, page ids, evicted ids)``: every page missed
+        or evicted, sorted, and each miss's indices into it (-1 = no
+        eviction)."""
+        if self.rp is None:
+            pages, evicted = self.pages, self.evicted
+            gone = evicted != -1
+            universe = np.unique(np.concatenate([pages, evicted[gone]]))
+            page_ids = np.searchsorted(universe, pages).astype(np.int32)
+            evicted_ids = np.where(
+                gone, np.searchsorted(universe, evicted), -1
+            ).astype(np.int32)
+            self.rp = (universe, page_ids, evicted_ids)
+        return self.rp
 
 
 #: Keyed by ``id(miss_trace)``; a weakref finalizer evicts the entry
@@ -1405,17 +1206,65 @@ def _analysis_for(miss_trace: MissTrace) -> _TraceAnalysis:
     key = id(miss_trace)
     analysis = _ANALYSIS_CACHE.get(key)
     if analysis is None:
-        analysis = _TraceAnalysis()
+        analysis = _TraceAnalysis(miss_trace)
         _ANALYSIS_CACHE[key] = analysis
         weakref.finalize(miss_trace, _ANALYSIS_CACHE.pop, key, None)
     return analysis
+
+
+def _address(array: np.ndarray | None) -> int | None:
+    return None if array is None else array.ctypes.data
+
+
+def _run_native(kernel, miss_trace: MissTrace, plan: _SlotPlan) -> tuple | None:
+    """One request's counters from the kernel; None when it refuses."""
+    config, thresholds = plan.config, (0.0, 0.0)
+    if plan.family == "aseq":
+        config, thresholds = config[:2], config[2:]
+    try:
+        params = np.zeros(6, dtype=np.int64)
+        params[: 3 + len(config)] = (
+            _FAMILY_CODES[plan.family], plan.cap, plan.clamp, *config,
+        )
+    except OverflowError:
+        return None
+    analysis = _analysis_for(miss_trace)
+    keys = set_of = evicted = universe = None
+    nkeys = 0
+    if plan.family in _TABLE_FAMILIES:
+        unique, keys = analysis.family_keys(plan.family)
+        nkeys = len(unique)
+        set_of = analysis.set_index(plan.family, config[0] // config[1])
+    elif plan.family == "recency":
+        universe, keys, evicted = analysis.recency()
+        nkeys = len(universe)
+    out = np.zeros(6, dtype=np.int64)
+    status = kernel(
+        params.ctypes.data, *thresholds, len(analysis.pages),
+        miss_trace.warmup_misses, analysis.pages.ctypes.data, _address(keys),
+        nkeys, _address(set_of), _address(evicted), _address(universe),
+        out.ctypes.data,
+    )
+    return tuple(out.tolist()) if status == 0 else None
+
+
+def _run_python(miss_trace: MissTrace, prefetcher: Prefetcher, plan: _SlotPlan) -> tuple:
+    """One request's counters from a throwaway :class:`LiveSlot`."""
+    slot = LiveSlot(miss_trace, prefetcher, plan.cap, plan.clamp)
+    slot.run(0, len(miss_trace))
+    return slot.totals()
+
+
+# ---------------------------------------------------------------------------
+# Public entry point.
+# ---------------------------------------------------------------------------
 
 
 def replay_batch(
     miss_trace: MissTrace,
     requests: "list[tuple[Prefetcher, int, int]]",
 ) -> "list[PrefetchRunStats]":
-    """Replay N fresh mechanisms over one miss stream in a single pass.
+    """Replay N fresh mechanisms over one miss stream.
 
     ``requests`` is a list of ``(prefetcher, buffer_entries,
     max_prefetches_per_miss)`` triples; every prefetcher must be a
@@ -1426,8 +1275,16 @@ def replay_batch(
     instances are *not* trained — batch replays are for throwaway
     mechanisms built from specs; warm instances take
     :func:`replay_live`.
+
+    Each distinct request runs once on the native kernel, or as a
+    Python :class:`LiveSlot` when the kernel is unavailable or refuses
+    the stream; the enclosing trace span gets ``kernel="native"`` or
+    ``"python"`` (the latter if any request fell back).
     """
-    plans = []
+    runs: dict[tuple, int] = {}
+    distinct: list[tuple[_SlotPlan, Prefetcher]] = []
+    slot_run: list[int] = []
+    labels: list[str] = []
     for prefetcher, cap, clamp in requests:
         plan = _plan(prefetcher, cap, clamp)
         if not is_fresh(prefetcher):
@@ -1435,57 +1292,24 @@ def replay_batch(
                 "replay_batch replays freshly built mechanisms only; "
                 "warm instances take replay_live"
             )
-        plans.append(plan)
-    pcs, pages, _evicted = miss_trace.as_lists()
-    warmup = miss_trace.warmup_misses
-    analysis = _analysis_for(miss_trace)
-    if analysis.keys is None:
-        analysis.keys = _StreamKeys(pcs, pages)
-    keys = analysis.keys
-
-    class_of: dict[tuple, int] = {}
-    emit_sigs: list[tuple] = []
-    slot_class: list[int] = []
-    for plan in plans:
-        cache_key = (plan.family, plan.config, plan.cap, plan.clamp)
-        cached = analysis.sigs.get(cache_key)
-        if cached is None:
-            cached = _sigs(plan, keys)
-            analysis.sigs[cache_key] = cached
-        dedup_sig, emit_sig = cached
-        index = class_of.get(dedup_sig)
-        if index is None:
-            index = len(emit_sigs)
-            class_of[dedup_sig] = index
-            emit_sigs.append(emit_sig)
-        slot_class.append(index)
-
-    rp_pages: list[int] = []
-    rp_above: list[int] = []
-    rp_below: list[int] = []
-    rp_third: list[int] = []
-    rp_overhead = 0
-    if any(sig[0] == "recency" for sig in emit_sigs):
-        if analysis.rp is None:
-            pages_array = miss_trace.pages
-            evicted_array = miss_trace.evicted
-            unique = np.unique(
-                np.concatenate([pages_array, evicted_array[evicted_array >= 0]])
-            )
-            rp_pages = np.searchsorted(unique, pages_array).tolist()
-            rp_evicted = np.where(
-                evicted_array >= 0, np.searchsorted(unique, evicted_array), -1
-            ).tolist()
-            analysis.rp = (rp_pages,) + _recency_streams(
-                rp_pages, rp_evicted, len(unique)
-            )
-        rp_pages, rp_above, rp_below, rp_third, rp_overhead = analysis.rp
-
-    fn = _compiled(warmup, tuple(emit_sigs))
-    rows = fn(pcs, pages, rp_pages, rp_above, rp_below, rp_third, rp_overhead)
+        index = runs.setdefault((plan.family, plan.config, cap, clamp), len(distinct))
+        if index == len(distinct):
+            distinct.append((plan, prefetcher))
+        slot_run.append(index)
+        labels.append(plan.label)
+    kernel = _native_kernel() if distinct else None
+    native = kernel is not None
+    rows = []
+    for plan, prefetcher in distinct:
+        row = None if kernel is None else _run_native(kernel, miss_trace, plan)
+        if row is None:
+            native = False
+            row = _run_python(miss_trace, prefetcher, plan)
+        rows.append(row)
+    annotate(kernel="native" if native else "python")
     return [
-        _make_stats(miss_trace, plan.label, rows[slot_class[i]])
-        for i, plan in enumerate(plans)
+        _make_stats(miss_trace, label, rows[index])
+        for label, index in zip(labels, slot_run)
     ]
 
 
@@ -1532,14 +1356,12 @@ _SNAPSHOT_SCALARS: dict[str, tuple[tuple[str, str], ...]] = {
 
 
 def _live_sig(plan: _SlotPlan) -> tuple:
-    """Emission signature of a live slot: always the concrete geometry."""
+    """Emission signature of a live slot, with its concrete geometry."""
     if plan.family in _TABLE_FAMILIES:
         rest, geom = plan.config[2:], plan.config[:2]
         return (plan.family, rest, geom, plan.cap, plan.clamp)
     if plan.family == "none":
-        return ("none-live",)
-    if plan.family == "recency":
-        return ("rp-live", plan.config, plan.cap, plan.clamp)
+        return ("none",)
     return (plan.family, plan.config, plan.cap, plan.clamp)
 
 
@@ -1673,9 +1495,7 @@ class LiveSlot:
         return self._mechanism
 
     def _build_state(self) -> dict:
-        self._code = _compiled(
-            self.miss_trace.warmup_misses, (self._sig,), live=True
-        )
+        self._code = _compiled(self.miss_trace.warmup_misses, self._sig)
         state = self._code[0]()
         seed = self._seed_mechanism()
         family = self._sig[0]
@@ -1683,7 +1503,7 @@ class LiveSlot:
             state[name] = getattr(seed, field)
         if family in _TABLE_FAMILIES:
             _seed_table(state, family, seed.table)
-        elif family == "rp-live":
+        elif family == "recency":
             links = state["rp0"]
             for page, below, above, on_stack in seed.entries:
                 links[page] = [
@@ -1741,12 +1561,12 @@ class LiveSlot:
         seed = self._seed_mechanism()
         state = self._state
         family = self._sig[0]
-        if state is None or family == "none-live":
+        if state is None or family == "none":
             # Null never calls account(): nothing about it changes.
             return seed
         _, issued, _, _, _, overhead = self.totals()
         fields = {"prefetches_issued": issued, "overhead_ops_total": overhead}
-        if family == "rp-live":
+        if family == "recency":
             fields["last_overhead_ops"] = state["rlo0"]
             top = state["rtop0"]
             fields["top"] = None if top == -1 else top

@@ -6,15 +6,15 @@ Two engines replay a mechanism over a TLB miss stream:
   driving live :class:`~repro.prefetch.base.Prefetcher` /
   :class:`~repro.tlb.prefetch_buffer.PrefetchBuffer` objects. This is
   the authoritative engine: the paper's numbers come from it.
-- the compiled engine (:mod:`repro.sim.batchpath`) — generated loops,
-  bit-identical by contract (and by the ``tests/differential/``
-  harness) but many times faster. A :class:`~repro.run.runner.Runner`
-  replays each stream's fresh specs in one pass
-  (:func:`~repro.sim.batchpath.replay_batch`); a single replay of a
-  given instance (this module's :func:`replay`) seeds a live slot from
-  the instance's snapshot and writes the final state back
-  (:func:`~repro.sim.batchpath.replay_live`), so warm (trained)
-  instances replay compiled too.
+- the compiled engine (:mod:`repro.sim.batchpath`) — a native batch
+  kernel and generated live-slot loops, bit-identical by contract
+  (and by the ``tests/differential/`` harness) but many times faster.
+  A :class:`~repro.run.runner.Runner` replays each stream's fresh
+  specs in one batch (:func:`~repro.sim.batchpath.replay_batch`); a
+  single replay of a given instance (this module's :func:`replay`)
+  seeds a live slot from the instance's snapshot and writes the final
+  state back (:func:`~repro.sim.batchpath.replay_live`), so warm
+  (trained) instances replay compiled too.
 
 The accepted ``engine`` names are ``"auto"``, ``"reference"``,
 ``"fast"`` and ``"batch"``; ``"fast"`` and ``"batch"`` both force the

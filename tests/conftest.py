@@ -9,6 +9,32 @@ from repro.mem.trace import ReferenceTrace
 from repro.prefetch.base import NO_EVICTION, Prefetcher
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--python-kernel",
+        action="store_true",
+        help="replay fresh batches on the Python fallback, as on a host "
+        "without a C compiler (patches the native kernel's loader)",
+    )
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _python_kernel(request):
+    """Under ``--python-kernel``, no batch finds the native kernel."""
+    if not request.config.getoption("--python-kernel"):
+        yield
+        return
+    from repro.sim import batchpath
+
+    from tests.differential import harness
+
+    patch = pytest.MonkeyPatch()
+    patch.setattr(batchpath, "_native_kernel", lambda: None)
+    patch.setattr(harness, "FORCE_PYTHON", True)
+    yield
+    patch.undo()
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     """Deterministic RNG for tests that need randomness."""

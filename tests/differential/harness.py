@@ -9,26 +9,75 @@ compiled engine is only trustworthy if it *is* the reference engine,
 observationally.
 
 Every check compares the two engines: the reference loop and the
-compiled engine, through both of its entry points — the one-pass
+compiled engine, through both of its entry points — the
 :func:`~repro.sim.batchpath.replay_batch` a :class:`~repro.run.Runner`
 uses for fresh specs (the direct-trace checks send it a duplicated
-request so the equivalence-class deduplication is exercised too), and
+request so the sharing of duplicate runs is exercised too), and
 the live slot :func:`~repro.sim.batchpath.replay_live` behind
 ``engine.replay``, which emits every table with its concrete geometry.
+
+Fresh batches have two implementations — the native C kernel and the
+Python live-slot fallback a host without a compiler runs — so batch
+checks run inside :func:`batch_kernel`, which picks one and verifies
+that it is the one that ran.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import asdict
+from unittest import mock
+
+import pytest
 
 from repro.mem.trace import MissTrace, ReferenceTrace
 from repro.prefetch.base import Prefetcher
 from repro.run import MissStreamCache, ResultSet, Runner, RunSpec
 from repro.run.runner import annotate_stats
+from repro.sim import batchpath
 from repro.sim.batchpath import replay_batch, replay_live
 from repro.sim.config import SimulationConfig
 from repro.sim.stats import PrefetchRunStats
 from repro.sim.two_phase import filter_tlb, replay_prefetcher
+
+
+#: The two fresh-batch kernels every batch check runs on.
+KERNELS = ("native", "python")
+
+#: Set by ``pytest --python-kernel`` (``tests/conftest.py``): the
+#: native kernel's loader reports no kernel for the whole session.
+FORCE_PYTHON = False
+
+
+@contextlib.contextmanager
+def batch_kernel(mode: str, expect: str | None = None):
+    """Replay fresh batches in the block on ``mode``'s kernel.
+
+    ``"python"`` patches the native kernel's loader to report no
+    compiler, as on a host without one. On exit, asserts that every
+    batch in the block ran on ``expect`` (default: ``mode``, or
+    ``"python"`` under ``--python-kernel``), read from the ``kernel``
+    attribute each batch puts on its trace span. Skips the test when
+    ``"native"`` is asked for and no compiler works here.
+    """
+    expected = expect or ("python" if FORCE_PYTHON else mode)
+    if mode == "native" and not FORCE_PYTHON and batchpath._native_kernel() is None:
+        pytest.skip("no working C compiler for the native batch kernel")
+    ran: list[str] = []
+    annotate = batchpath.annotate
+
+    def spy(**attrs):
+        ran.append(attrs["kernel"])
+        annotate(**attrs)
+
+    with contextlib.ExitStack() as stack:
+        stack.enter_context(mock.patch.object(batchpath, "annotate", spy))
+        if mode == "python":
+            stack.enter_context(
+                mock.patch.object(batchpath, "_native_kernel", lambda: None)
+            )
+        yield
+    assert ran and set(ran) == {expected}, f"batches ran on {ran}, expected {expected}"
 
 
 class EngineDivergenceError(AssertionError):
@@ -138,8 +187,8 @@ class DifferentialRunner:
             max_prefetches_per_miss=config.max_prefetches_per_miss,
         )
         assert_identical(reference, live, context=f"live trace {miss_trace.name}")
-        # The same request twice in one batch: the second slot dedups
-        # onto the first's simulation, and both must match reference.
+        # The same request twice in one batch: the second shares the
+        # first's run, and both must match reference.
         batch_rows = replay_batch(
             miss_trace,
             [

@@ -4,7 +4,8 @@ Spans every mechanism family × one representative workload per trace
 suite × the superpage sizes, plus associativity, slot, buffer, clamp,
 warm-up and TLB-shape variants — the configuration axes the paper's
 tables and figures actually sweep. Every spec must produce
-bit-identical statistics on the reference and compiled engines.
+bit-identical statistics on the reference and compiled engines, with
+fresh batches on the native kernel and again on its Python fallback.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import pytest
 from repro.run import RunSpec
 from repro.sim.config import TLBConfig
 
-from tests.differential.harness import DifferentialRunner
+from tests.differential.harness import DifferentialRunner, batch_kernel
 
 #: One representative application per workload family (see SUITES).
 FAMILY_APPS = {
@@ -84,9 +85,19 @@ def differential() -> DifferentialRunner:
     return DifferentialRunner()
 
 
-@pytest.mark.parametrize("spec", GRID, ids=[spec.label + "/" + spec.key()[:6] for spec in GRID])
+GRID_IDS = [spec.label + "/" + spec.key()[:6] for spec in GRID]
+
+
+@pytest.mark.parametrize("spec", GRID, ids=GRID_IDS)
 def test_engines_bit_identical(differential, spec):
-    differential.check_spec(spec)
+    with batch_kernel("native"):
+        differential.check_spec(spec)
+
+
+@pytest.mark.parametrize("spec", GRID, ids=GRID_IDS)
+def test_engines_bit_identical_python_kernel(differential, spec):
+    with batch_kernel("python"):
+        differential.check_spec(spec)
 
 
 def test_grid_covers_every_mechanism_family():
@@ -101,26 +112,24 @@ def test_grid_is_reasonably_sized():
     assert len(GRID) >= 50
 
 
+WHOLE_BATCH = [
+    RunSpec.of("galgel", mechanism, scale=SCALE)
+    for mechanism in ("DP", "RP", "ASP", "MP")
+]
+
+
 def test_whole_batch_result_sets_identical(differential):
     """Batch execution (the Runner path) agrees wholesale, too."""
-    specs = [
-        RunSpec.of("galgel", mechanism, scale=SCALE)
-        for mechanism in ("DP", "RP", "ASP", "MP")
-    ]
-    differential.check_batch(specs)
+    with batch_kernel("native"):
+        differential.check_batch(WHOLE_BATCH)
 
 
-def test_wide_batch_with_double_digit_slot_indices(differential):
-    """A fused loop with 12+ distinct classes stays bit-identical.
+def test_whole_batch_result_sets_identical_python_kernel(differential):
+    with batch_kernel("python"):
+        differential.check_batch(WHOLE_BATCH)
 
-    Generated per-slot names are ``<prefix><k>`` with ``k`` a decimal
-    slot index; two prefixes where one is the other plus a digit can
-    collide once ``k`` reaches double digits (e.g. slot 1's ``x1``
-    array vs slot 11's ``x`` scalar, both rendering as ``x11``). The
-    full Figure-7 legend on mesa compiles 12+ classes in one loop with
-    Markov tables in the low slots and a stride class past index 10,
-    and mesa's miss stream drives every one of their paths.
-    """
+
+def _figure7_legend_on_mesa() -> list[RunSpec]:
     from repro.analysis.figures import figure7_configs
 
     specs = [
@@ -129,4 +138,20 @@ def test_wide_batch_with_double_digit_slot_indices(differential):
         for config in figure7_configs()
     ]
     assert len(specs) >= 12
-    differential.check_batch(specs)
+    return specs
+
+
+def test_wide_batch_with_double_digit_slot_indices(differential):
+    """A batch of 12+ distinct requests stays bit-identical.
+
+    The full Figure-7 legend on mesa replays 12+ distinct requests in
+    one batch, Markov tables first and stride tables past index 10,
+    and mesa's miss stream drives every one of their paths.
+    """
+    with batch_kernel("native"):
+        differential.check_batch(_figure7_legend_on_mesa())
+
+
+def test_wide_batch_with_double_digit_slot_indices_python_kernel(differential):
+    with batch_kernel("python"):
+        differential.check_batch(_figure7_legend_on_mesa())

@@ -3,7 +3,9 @@
 Hypothesis generates random RLE traces, mechanism configurations and
 engine knobs (seeded and shrinkable — a failure replays and minimizes
 deterministically), and every example must produce bit-identical
-statistics on both engines. The budget is tunable for CI:
+statistics on both engines, with fresh batches on the native kernel
+and, in the ``*_python_kernel`` twins, on its Python fallback. The
+budget (per test) is tunable for CI:
 
 - ``DIFF_FUZZ_EXAMPLES``       — trace-level examples (default 200)
 - ``DIFF_FUZZ_SPEC_EXAMPLES``  — registry-spec examples (default 25)
@@ -27,7 +29,7 @@ from repro.prefetch.factory import create_prefetcher
 from repro.run import RunSpec
 from repro.sim.config import SimulationConfig, TLBConfig
 
-from tests.differential.harness import DifferentialRunner, fresh_factory
+from tests.differential.harness import DifferentialRunner, batch_kernel, fresh_factory
 
 TRACE_EXAMPLES = int(os.environ.get("DIFF_FUZZ_EXAMPLES", "200"))
 SPEC_EXAMPLES = int(os.environ.get("DIFF_FUZZ_SPEC_EXAMPLES", "25"))
@@ -82,18 +84,28 @@ def sim_configs(draw) -> SimulationConfig:
     )
 
 
+def _check_trace(kernel, trace, mechanism, config):
+    name, params = mechanism
+    with batch_kernel(kernel):
+        _DIFFERENTIAL.check_trace(
+            trace, fresh_factory(create_prefetcher, name, **params), config
+        )
+
+
 @settings(max_examples=TRACE_EXAMPLES, deadline=None)
 @given(trace=rle_traces(), mechanism=mechanism_configs(), config=sim_configs())
 def test_fuzz_traces_bit_identical(trace, mechanism, config):
     """Random trace × random mechanism × random knobs: engines agree."""
-    name, params = mechanism
-    _DIFFERENTIAL.check_trace(
-        trace, fresh_factory(create_prefetcher, name, **params), config
-    )
+    _check_trace("native", trace, mechanism, config)
 
 
-@settings(max_examples=SPEC_EXAMPLES, deadline=None)
-@given(
+@settings(max_examples=TRACE_EXAMPLES, deadline=None)
+@given(trace=rle_traces(), mechanism=mechanism_configs(), config=sim_configs())
+def test_fuzz_traces_bit_identical_python_kernel(trace, mechanism, config):
+    _check_trace("python", trace, mechanism, config)
+
+
+SPEC_AXES = dict(
     workload=st.sampled_from(["galgel", "epic", "anagram", "perl4"]),
     mechanism=mechanism_configs(),
     tlb_entries=st.sampled_from([32, 64]),
@@ -102,10 +114,11 @@ def test_fuzz_traces_bit_identical(trace, mechanism, config):
     clamp=st.sampled_from([0, 2]),
     warmup=st.sampled_from([0.0, 0.2]),
 )
-def test_fuzz_specs_bit_identical(
-    workload, mechanism, tlb_entries, page_size, buffer_entries, clamp, warmup
+
+
+def _check_spec(
+    kernel, workload, mechanism, tlb_entries, page_size, buffer_entries, clamp, warmup
 ):
-    """Random RunSpecs over real registry workloads: engines agree."""
     name, params = mechanism
     spec = RunSpec.of(
         workload,
@@ -118,4 +131,18 @@ def test_fuzz_specs_bit_identical(
         warmup_fraction=warmup,
         **params,
     )
-    _DIFFERENTIAL.check_spec(spec)
+    with batch_kernel(kernel):
+        _DIFFERENTIAL.check_spec(spec)
+
+
+@settings(max_examples=SPEC_EXAMPLES, deadline=None)
+@given(**SPEC_AXES)
+def test_fuzz_specs_bit_identical(**axes):
+    """Random RunSpecs over real registry workloads: engines agree."""
+    _check_spec("native", **axes)
+
+
+@settings(max_examples=SPEC_EXAMPLES, deadline=None)
+@given(**SPEC_AXES)
+def test_fuzz_specs_bit_identical_python_kernel(**axes):
+    _check_spec("python", **axes)

@@ -3,7 +3,8 @@
 ``tests/golden/*.json`` are :meth:`ResultSet.save` outputs for the
 canonical RunSpecs below, produced by the *reference* engine. The
 tests re-run those specs — on the reference engine and under both
-names of the compiled engine (``fast`` and ``batch``) — and fail
+names of the compiled engine (``fast`` and ``batch``), the latter on
+the native batch kernel and on its Python fallback — and fail
 loudly on any row that drifts, so an engine or mechanism change that
 shifts paper numbers cannot land silently.
 
@@ -24,6 +25,8 @@ from pathlib import Path
 import pytest
 
 from repro.run import MissStreamCache, ResultSet, Runner, RunSpec
+
+from tests.differential.harness import batch_kernel
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -59,6 +62,21 @@ def _run(specs: list[RunSpec], engine: str) -> ResultSet:
 @pytest.mark.parametrize("filename", sorted(GOLDEN_FILES))
 @pytest.mark.parametrize("engine", ["reference", "fast", "batch"])
 def test_results_match_golden(filename, engine):
+    if engine == "reference":
+        _check_golden(filename, engine)
+    else:
+        with batch_kernel("native"):
+            _check_golden(filename, engine)
+
+
+@pytest.mark.parametrize("filename", sorted(GOLDEN_FILES))
+@pytest.mark.parametrize("engine", ["fast", "batch"])
+def test_results_match_golden_python_kernel(filename, engine):
+    with batch_kernel("python"):
+        _check_golden(filename, engine)
+
+
+def _check_golden(filename: str, engine: str) -> None:
     path = GOLDEN_DIR / filename
     assert path.exists(), (
         f"missing golden file {path}; generate it with "
